@@ -488,6 +488,64 @@ def sample_draws(
     return nodes, bg, intensity
 
 
+class CampaignBackground:
+    """The background a campaign samples from, built on first use.
+
+    Holds the :class:`BackgroundModel` and scenario pool and resolves
+    them through :func:`resolve_scenarios` only when a run first needs a
+    draw (or :meth:`build` is called), so a campaign whose runs are all
+    resumed or served from a store builds no pool.  The pool comes from
+    its own derived RNG stream, so when it is built cannot change what it
+    holds.  Explicit ``background_model`` / ``scenarios`` are used as
+    given.
+
+    Also the campaign's one per-sample draw cache: the modes of a sample
+    share its placement and background, so each process keeps the last
+    few samples' draws.  Fork-pool workers inherit the object by memory
+    image; the parent must :meth:`build` it before forking, or every
+    worker would build its own pool.
+    """
+
+    #: samples whose draws are kept (each entry holds a placement plus a
+    #: masked background array)
+    DRAW_CACHE_CAP = 4
+
+    def __init__(
+        self,
+        top: DragonflyTopology,
+        cfg: CampaignConfig,
+        background_model: BackgroundModel | None = None,
+        scenarios: list[BackgroundScenario] | None = None,
+    ) -> None:
+        if cfg.background not in ("production", "isolated"):
+            raise ValueError(f"unknown background kind {cfg.background!r}")
+        self.top = top
+        self.cfg = cfg
+        self.model = background_model
+        self.scenarios = scenarios
+        self.built = False
+        self._draws: dict[int, tuple] = {}
+
+    def build(self) -> None:
+        """Resolve the model and pool now; a no-op once built."""
+        if not self.built:
+            self.model, self.scenarios = resolve_scenarios(
+                self.top, self.cfg, self.model, self.scenarios
+            )
+            self.built = True
+
+    def draws(self, i: int) -> tuple[np.ndarray, np.ndarray | None, float]:
+        """Sample ``i``'s :func:`sample_draws`, building the pool if needed."""
+        d = self._draws.get(i)
+        if d is None:
+            self.build()
+            d = sample_draws(self.top, self.cfg, i, self.model, self.scenarios)
+            if len(self._draws) >= self.DRAW_CACHE_CAP:
+                self._draws.pop(next(iter(self._draws)))
+            self._draws[i] = d
+        return d
+
+
 def _write_guard_bundle(
     top: DragonflyTopology,
     cfg: CampaignConfig,
@@ -797,16 +855,18 @@ def run_campaign(
     done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
     tel = resolve_telemetry(telemetry)
     emit_campaign_start(tel, cfg, done)
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
+    background = CampaignBackground(top, cfg, background_model, scenarios)
 
     records: list[RunRecord] = []
     for i in range(cfg.samples):
-        nodes, bg, intensity = sample_draws(top, cfg, i, bm, scenarios)
         for mode in cfg.modes:
             prior = done.get((i, mode.name))
             if prior is not None:
                 records.append(prior)
                 continue
+            # drawn only for a sample with a run left to execute, so a
+            # fully-resumed campaign builds no pool
+            nodes, bg, intensity = background.draws(i)
             rec = execute_run(top, run_top, cfg, i, mode, nodes, bg, intensity, tel)
             records.append(rec)
             if checkpoint_path is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 def zscore(values: np.ndarray) -> np.ndarray:
@@ -69,6 +68,10 @@ def ccdf(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndar
 
 def density(values: np.ndarray, grid: np.ndarray | None = None, *, n_grid: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-KDE probability density (the PDF curves of Figs. 2/11)."""
+    # imported here: scipy.stats costs most of the CLI's import time, and
+    # only the density plots need it
+    from scipy import stats
+
     v = np.asarray(values, dtype=np.float64)
     if v.size < 3 or v.std() == 0:
         # degenerate: a spike at the mean

@@ -17,7 +17,9 @@ subset of a campaign's runs through the queue:
   whose retry budget is exhausted, watches fleet liveness, and degrades
   to the local fork pool when nobody is working and nobody is coming.
   It executes nothing itself (until fallback) and yields each task's
-  payload exactly once, in discovery order.
+  payload exactly once, in discovery order.  It builds the background
+  pool only for a fallback or for an exhausted task's error record; a
+  campaign the fleet finishes costs the coordinator no pool.
 * :class:`_Merger` folds yielded payloads back in canonical order:
   checkpoint append, worker trace events (tagged with a dense worker id
   and the run index, exactly like the fork-pool merge), and
@@ -36,6 +38,7 @@ from typing import Iterator
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
+    CampaignBackground,
     CampaignConfig,
     RunRecord,
     _effective_jobs,
@@ -43,8 +46,6 @@ from repro.core.experiment import (
     emit_campaign_end,
     emit_campaign_start,
     prepare_checkpoint,
-    resolve_scenarios,
-    sample_draws,
 )
 from repro.dist.manifest import build_tasks, campaign_to_manifest
 from repro.dist.queue import QueueTask, QueueUnavailable, WorkQueue
@@ -130,8 +131,7 @@ def _local_fallback(
     top: DragonflyTopology,
     run_top: DragonflyTopology,
     cfg: CampaignConfig,
-    bm: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
+    background: CampaignBackground,
     tel: Telemetry,
     queue: WorkQueue,
     remaining: list[QueueTask],
@@ -157,8 +157,7 @@ def _local_fallback(
         top,
         run_top,
         cfg,
-        bm,
-        scenarios,
+        background,
         trace_enabled=tel.trace.enabled,
         metrics_enabled=tel.metrics.enabled,
         series=tel.series,
@@ -191,7 +190,7 @@ def _local_fallback(
         else:
             # the local worker process died repeatedly on this run:
             # isolate into an error record, as the fork pool does
-            nodes, _, intensity = sample_draws(top, cfg, task.sample, bm, scenarios)
+            nodes, _, intensity = background.draws(task.sample)
             mode = {m.name: m for m in cfg.modes}[task.mode]
             rec = _error_record(
                 cfg,
@@ -238,8 +237,7 @@ class DistDispatcher:
         top: DragonflyTopology,
         run_top: DragonflyTopology,
         cfg: CampaignConfig,
-        bm: BackgroundModel | None,
-        scenarios: list[BackgroundScenario] | None,
+        background: CampaignBackground,
         tel: Telemetry,
         queue: WorkQueue,
         tasks: list[QueueTask],
@@ -253,8 +251,7 @@ class DistDispatcher:
         self.top = top
         self.run_top = run_top
         self.cfg = cfg
-        self.bm = bm
-        self.scenarios = scenarios
+        self.background = background
         self.tel = tel
         self.queue = queue
         self.tasks = tasks
@@ -371,9 +368,7 @@ class DistDispatcher:
                     if used >= queue.retry_budget and not queue.has_result(t.tid):
                         if t.tid in live:
                             continue  # final attempt still running
-                        nodes, _, intensity = sample_draws(
-                            self.top, cfg, t.sample, self.bm, self.scenarios
-                        )
+                        nodes, _, intensity = self.background.draws(t.sample)
                         rec = _error_record(
                             cfg,
                             mode_by_name[t.mode],
@@ -440,8 +435,7 @@ class DistDispatcher:
                         self.top,
                         self.run_top,
                         cfg,
-                        self.bm,
-                        self.scenarios,
+                        self.background,
                         tel,
                         queue,
                         remaining,
@@ -502,7 +496,7 @@ def run_campaign_distributed(
     run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
     done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
     emit_campaign_start(tel, cfg, done, queue=str(queue.root))
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
+    background = CampaignBackground(top, cfg, background_model, scenarios)
 
     # canonical slots: resumed runs pre-filled, the rest queued
     all_tasks = build_tasks(top, cfg)
@@ -520,8 +514,7 @@ def run_campaign_distributed(
         top,
         run_top,
         cfg,
-        bm,
-        scenarios,
+        background,
         tel,
         queue,
         pending,

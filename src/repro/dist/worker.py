@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.chaos.failpoints import failpoint
 from repro.core import checkpoint as ckpt
-from repro.core.experiment import execute_run, resolve_scenarios, sample_draws
+from repro.core.experiment import CampaignBackground, execute_run
 from repro.dist.manifest import manifest_series, manifest_to_campaign
 from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue
 from repro.guard import WorkerHeartbeat, set_worker_heartbeat
@@ -145,14 +145,12 @@ class DistWorker:
         self._top = None
         self._run_top = None
         self._cfg = None
-        self._bm = None
-        self._scenarios = None
+        self._background: CampaignBackground | None = None
         self._modes: dict = {}
         self._series = None
         self._trace_enabled = False
         self._metrics_enabled = False
         self._tasks: list[QueueTask] = []
-        self._sample_cache: dict[int, tuple] = {}
         self._speculated: set[str] = set()
         self._hb: WorkerHeartbeat | None = None
 
@@ -179,7 +177,8 @@ class DistWorker:
         self._run_top = (
             top.with_faults(cfg.faults) if cfg.faults is not None else top
         )
-        self._bm, self._scenarios = resolve_scenarios(top, cfg, None, None)
+        # the pool is built by the first _execute, not by joining a queue
+        self._background = CampaignBackground(top, cfg)
         self._modes = {m.name: m for m in cfg.modes}
         self._series = manifest_series(manifest)
         t = manifest.get("telemetry", {})
@@ -206,15 +205,7 @@ class DistWorker:
     # ------------------------------------------------------------------
     def _execute(self, task: QueueTask, *, speculative: bool, attempt: int) -> dict:
         """Run one task and build its (complete) result payload."""
-        draws = self._sample_cache.get(task.sample)
-        if draws is None:
-            draws = sample_draws(
-                self._top, self._cfg, task.sample, self._bm, self._scenarios
-            )
-            if len(self._sample_cache) >= 4:
-                self._sample_cache.pop(next(iter(self._sample_cache)))
-            self._sample_cache[task.sample] = draws
-        nodes, bg, intensity = draws
+        nodes, bg, intensity = self._background.draws(task.sample)
         tel = Telemetry(
             trace=MemoryTraceWriter() if self._trace_enabled else NULL_TRACE,
             metrics=MetricsRegistry(enabled=self._metrics_enabled),

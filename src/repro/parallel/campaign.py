@@ -29,6 +29,7 @@ from dataclasses import asdict
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
+    CampaignBackground,
     CampaignConfig,
     RunRecord,
     _error_record,
@@ -37,8 +38,6 @@ from repro.core.experiment import (
     emit_campaign_start,
     execute_run,
     prepare_checkpoint,
-    resolve_scenarios,
-    sample_draws,
 )
 from repro.guard import Watchdog, WorkerHeartbeat, set_worker_heartbeat, write_bundle
 from repro.parallel.executor import run_tasks
@@ -54,12 +53,7 @@ from repro.telemetry import (
 )
 from repro.topology.dragonfly import DragonflyTopology
 
-#: per-sample draws kept per worker (each entry holds a placement plus a
-#: masked background array); modes of the same sample reuse the entry
-_SAMPLE_CACHE_CAP = 4
-
 _CTX = None
-_SAMPLE_CACHE: dict[int, tuple] = {}
 _HB: WorkerHeartbeat | None = None
 
 
@@ -68,7 +62,9 @@ class _CampaignContext:
 
     Under the ``fork`` start method the context is inherited by memory
     image (never pickled), so it can hold live topologies, applications,
-    and the pre-built scenario pool.
+    and the scenario pool.  Constructing a context builds that pool, in
+    the parent, so every worker shares the one build; create a context
+    only when there are runs to fork for.
     """
 
     def __init__(
@@ -76,18 +72,17 @@ class _CampaignContext:
         top: DragonflyTopology,
         run_top: DragonflyTopology,
         cfg: CampaignConfig,
-        bm: BackgroundModel | None,
-        scenarios: list[BackgroundScenario] | None,
+        background: CampaignBackground,
         trace_enabled: bool,
         metrics_enabled: bool,
         series=None,
         heartbeat_dir: str | None = None,
     ) -> None:
+        background.build()
         self.top = top
         self.run_top = run_top
         self.cfg = cfg
-        self.bm = bm
-        self.scenarios = scenarios
+        self.background = background
         self.trace_enabled = trace_enabled
         self.metrics_enabled = metrics_enabled
         #: SeriesConfig propagated to every worker's telemetry bundle
@@ -97,9 +92,8 @@ class _CampaignContext:
 
 
 def _init_worker(ctx: _CampaignContext) -> None:
-    global _CTX, _SAMPLE_CACHE, _HB
+    global _CTX, _HB
     _CTX = ctx
-    _SAMPLE_CACHE = {}
     _HB = None
     if ctx.heartbeat_dir is not None:
         # every guard tick inside the engines refreshes this file's
@@ -119,13 +113,7 @@ def _worker_telemetry(ctx: _CampaignContext) -> Telemetry:
 
 def _run_task(task: RunTask) -> TaskResult:
     ctx = _CTX
-    draws = _SAMPLE_CACHE.get(task.sample)
-    if draws is None:
-        draws = sample_draws(ctx.top, ctx.cfg, task.sample, ctx.bm, ctx.scenarios)
-        if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_CAP:
-            _SAMPLE_CACHE.pop(next(iter(_SAMPLE_CACHE)))
-        _SAMPLE_CACHE[task.sample] = draws
-    nodes, bg, intensity = draws
+    nodes, bg, intensity = ctx.background.draws(task.sample)
     tel = _worker_telemetry(ctx)
     if _HB is not None:
         _HB.start_task()
@@ -176,7 +164,7 @@ def run_campaign_parallel(
     done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
     tel = resolve_telemetry(telemetry)
     emit_campaign_start(tel, cfg, done, jobs=jobs)
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
+    background = CampaignBackground(top, cfg, background_model, scenarios)
 
     mode_by_name = {m.name: m for m in cfg.modes}
     slots: list[RunRecord | None] = []
@@ -188,17 +176,6 @@ def run_campaign_parallel(
             slots.append(prior)
             if prior is None:
                 tasks.append(RunTask(index=idx, sample=i, mode=mode.name))
-
-    ctx = _CampaignContext(
-        top,
-        run_top,
-        cfg,
-        bm,
-        scenarios,
-        trace_enabled=tel.trace.enabled,
-        metrics_enabled=tel.metrics.enabled,
-        series=tel.series,
-    )
 
     buffered: dict[int, TaskResult] = {}
     worker_ids: dict[int, int] = {}
@@ -227,22 +204,31 @@ def run_campaign_parallel(
             flush_pos += 1
 
     guard_policy = cfg.guard if (cfg.guard is not None and cfg.guard.active) else None
-    watchdog = None
-    if tasks and guard_policy is not None and guard_policy.hang_timeout is not None:
-        ctx.heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        # published so live observers (``repro-study top``) can find the
-        # per-worker liveness files without being told the directory
-        tel.event("campaign.workers", jobs=jobs, heartbeat_dir=ctx.heartbeat_dir)
-        watchdog = Watchdog(
-            ctx.heartbeat_dir,
-            guard_policy.hang_timeout,
-            pid_provider=lambda: set(),  # run_tasks rebinds this per pool
-            on_kill=lambda pid, age: tel.event(
-                "guard.worker_hung", pid=pid, stale_s=round(age, 3)
-            ),
-        )
-
     if tasks:
+        # built before any fork: the workers inherit the parent's pool
+        ctx = _CampaignContext(
+            top,
+            run_top,
+            cfg,
+            background,
+            trace_enabled=tel.trace.enabled,
+            metrics_enabled=tel.metrics.enabled,
+            series=tel.series,
+        )
+        watchdog = None
+        if guard_policy is not None and guard_policy.hang_timeout is not None:
+            ctx.heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
+            # published so live observers (``repro-study top``) can find the
+            # per-worker liveness files without being told the directory
+            tel.event("campaign.workers", jobs=jobs, heartbeat_dir=ctx.heartbeat_dir)
+            watchdog = Watchdog(
+                ctx.heartbeat_dir,
+                guard_policy.hang_timeout,
+                pid_provider=lambda: set(),  # run_tasks rebinds this per pool
+                on_kill=lambda pid, age: tel.event(
+                    "guard.worker_hung", pid=pid, stale_s=round(age, 3)
+                ),
+            )
         try:
             if watchdog is not None:
                 watchdog.start()
@@ -263,9 +249,7 @@ def run_campaign_parallel(
                     # the worker process died repeatedly on this run (crash
                     # or watchdog kill): isolate it exactly like an in-run
                     # failure would be
-                    nodes, _, intensity = sample_draws(
-                        top, cfg, task.sample, bm, scenarios
-                    )
+                    nodes, _, intensity = background.draws(task.sample)
                     rec = _error_record(
                         cfg,
                         mode_by_name[task.mode],

@@ -12,10 +12,11 @@ record is committed back to the store.
 Equivalence contract: because each run is a pure function of its
 content address, a warm campaign's records and checkpoint JSONL are
 **byte-identical** to a cold serial run, while executing zero
-simulation steps.  The checkpoint keeps its canonical (sample-major,
-mode-minor) order by committing the contiguous completed prefix of
-the slot list, interleaving cache hits and fresh results exactly where
-a serial loop would have written them.  Error-status records are never
+simulation steps and building no background pool (the pool is built
+only once a miss needs a draw).  The checkpoint keeps its canonical
+(sample-major, mode-minor) order by committing the contiguous completed
+prefix of the slot list, interleaving cache hits and fresh results
+exactly where a serial loop would have written them.  Error-status records are never
 cached: a failed run re-executes on the next request (the record it
 produces is still deterministic).
 """
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
+    CampaignBackground,
     CampaignConfig,
     RunRecord,
     _effective_jobs,
@@ -36,17 +38,12 @@ from repro.core.experiment import (
     emit_campaign_start,
     execute_run,
     prepare_checkpoint,
-    resolve_scenarios,
-    sample_draws,
 )
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.scheduler.placement import groups_spanned
 from repro.service.store import RunRecordStore, entry_key
 from repro.telemetry import MetricsRegistry, Telemetry, resolve_telemetry
 from repro.topology.dragonfly import DragonflyTopology
-
-#: per-sample draw cache for the serial miss loop (mirrors the worker's)
-_SAMPLE_CACHE_CAP = 4
 
 
 @dataclass
@@ -90,7 +87,8 @@ def run_campaign_cached(
     run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
     done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
     emit_campaign_start(tel, cfg, done, cache=str(store.root))
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
+    # the pool is built only if a miss executes: a warm replay builds none
+    background = CampaignBackground(top, cfg, background_model, scenarios)
     fp = campaign_fingerprint(top, cfg)
     mode_by_name = {m.name: m for m in cfg.modes}
 
@@ -200,24 +198,17 @@ def run_campaign_cached(
 
         if pending and queue_dir is not None:
             _run_via_queue(
-                top, run_top, cfg, bm, scenarios, tel, queue_dir, pending,
+                top, run_top, cfg, background, tel, queue_dir, pending,
                 jobs, _commit, fallback_after=fallback_after, poll=poll,
             )
         elif pending and _effective_jobs(jobs) > 1:
             _run_via_pool(
-                top, run_top, cfg, bm, scenarios, tel, mode_by_name, pending,
+                top, run_top, cfg, background, tel, mode_by_name, pending,
                 _effective_jobs(jobs), _commit,
             )
         elif pending:
-            draw_cache: dict[int, tuple] = {}
             for idx, sample, mode in pending:
-                draws = draw_cache.get(sample)
-                if draws is None:
-                    draws = sample_draws(top, cfg, sample, bm, scenarios)
-                    if len(draw_cache) >= _SAMPLE_CACHE_CAP:
-                        draw_cache.pop(next(iter(draw_cache)))
-                    draw_cache[sample] = draws
-                nodes, bg, intensity = draws
+                nodes, bg, intensity = background.draws(sample)
                 rec = execute_run(
                     top, run_top, cfg, sample, mode_by_name[mode],
                     nodes, bg, intensity, tel,
@@ -235,8 +226,7 @@ def _run_via_pool(
     top: DragonflyTopology,
     run_top: DragonflyTopology,
     cfg: CampaignConfig,
-    bm: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
+    background: CampaignBackground,
     tel: Telemetry,
     mode_by_name: dict,
     pending: list[tuple[int, int, str]],
@@ -257,8 +247,7 @@ def _run_via_pool(
         top,
         run_top,
         cfg,
-        bm,
-        scenarios,
+        background,
         trace_enabled=tel.trace.enabled,
         metrics_enabled=tel.metrics.enabled,
         series=tel.series,
@@ -279,7 +268,7 @@ def _run_via_pool(
         else:
             # worker process died repeatedly on this run: isolate it,
             # exactly like the uncached parallel path does
-            nodes, _, intensity = sample_draws(top, cfg, sample, bm, scenarios)
+            nodes, _, intensity = background.draws(sample)
             rec = _error_record(
                 cfg,
                 mode_by_name[mode],
@@ -305,8 +294,7 @@ def _run_via_queue(
     top: DragonflyTopology,
     run_top: DragonflyTopology,
     cfg: CampaignConfig,
-    bm: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
+    background: CampaignBackground,
     tel: Telemetry,
     queue_dir: str,
     pending: list[tuple[int, int, str]],
@@ -332,7 +320,7 @@ def _run_via_queue(
     by_index = {idx: (sample, mode) for idx, sample, mode in pending}
     queue = WorkQueue(queue_dir)
     dispatcher = DistDispatcher(
-        top, run_top, cfg, bm, scenarios, tel, queue, qtasks,
+        top, run_top, cfg, background, tel, queue, qtasks,
         jobs=jobs, fallback_after=fallback_after, poll=poll,
     )
     for task, payload in dispatcher.run():

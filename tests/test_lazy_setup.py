@@ -1,0 +1,212 @@
+"""Lazy campaign set-up: the background pool is built only when a run needs it.
+
+Every campaign path resolves its background through
+:class:`repro.core.experiment.CampaignBackground`, which builds the
+``scenario_pool`` scenarios on the first draw.  These tests count
+:meth:`BackgroundModel.build_scenario` calls per process (fork children
+included, through a pid-tagged log file) on each path, and check that the
+CLI never imports ``scipy`` unless a density is computed.
+"""
+
+import multiprocessing as mp
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.apps import MILC
+from repro.core import checkpoint as ckpt
+from repro.core.biases import AD0, AD3
+from repro.core.experiment import CampaignConfig, campaign_fingerprint, run_campaign
+from repro.dist import DistWorker, WorkQueue, run_campaign_distributed
+from repro.scheduler.background import BackgroundModel
+from repro.service import RunRecordStore, entry_key, run_campaign_cached
+from repro.topology.systems import mini
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.network.fluid.NonConvergenceWarning"
+)
+
+POOL = 3
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="module")
+def top():
+    return mini()
+
+
+def _cfg():
+    return CampaignConfig(
+        app=MILC(), n_nodes=32, modes=(AD0, AD3), samples=2, seed=11,
+        scenario_pool=POOL,
+    )
+
+
+def _dicts(records):
+    return [ckpt.record_to_dict(r) for r in records]
+
+
+class BuildLog:
+    """``build_scenario`` calls by pid, appended to a file so that forked
+    children's calls are counted too."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+
+    def counts(self) -> Counter:
+        if not self.path.exists():
+            return Counter()
+        return Counter(int(pid) for pid in self.path.read_text().split())
+
+    def total(self) -> int:
+        return sum(self.counts().values())
+
+    def reset(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture
+def builds(tmp_path, monkeypatch):
+    log = BuildLog(tmp_path / "builds.log")
+    real = BackgroundModel.build_scenario
+
+    def counted(self, *args, **kwargs):
+        with open(log.path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BackgroundModel, "build_scenario", counted)
+    return log
+
+
+@pytest.fixture(scope="module")
+def serial(top, tmp_path_factory):
+    """Records and checkpoint bytes of the plain serial campaign."""
+    path = tmp_path_factory.mktemp("serial") / "ck.jsonl"
+    records = run_campaign(top, _cfg(), jobs=1, checkpoint_path=str(path))
+    return _dicts(records), path.read_bytes()
+
+
+class TestPoolBuiltOnlyWhenNeeded:
+    def test_cold_serial_builds_the_pool_once(self, top, builds, serial):
+        records = run_campaign(top, _cfg(), jobs=1)
+        assert _dicts(records) == serial[0]
+        assert builds.counts() == {os.getpid(): POOL}
+
+    def test_fully_resumed_serial_builds_nothing(
+        self, top, builds, serial, tmp_path
+    ):
+        ck = tmp_path / "ck.jsonl"
+        run_campaign(top, _cfg(), jobs=1, checkpoint_path=str(ck))
+        builds.reset()
+        records = run_campaign(
+            top, _cfg(), jobs=1, checkpoint_path=str(ck), resume=True
+        )
+        assert builds.total() == 0
+        assert _dicts(records) == serial[0]
+        assert ck.read_bytes() == serial[1]
+
+    def test_warm_cached_replay_builds_nothing(
+        self, top, builds, serial, tmp_path
+    ):
+        store = RunRecordStore(tmp_path / "cache")
+        run_campaign_cached(top, _cfg(), store=store)
+        assert builds.total() == POOL
+        builds.reset()
+        ck = tmp_path / "warm.jsonl"
+        out = run_campaign_cached(top, _cfg(), store=store, checkpoint_path=str(ck))
+        assert out.misses == 0
+        assert builds.total() == 0
+        assert ck.read_bytes() == serial[1]
+
+    def test_mixed_cached_campaign_builds_the_pool_once(
+        self, top, builds, serial, tmp_path
+    ):
+        store = RunRecordStore(tmp_path / "cache")
+        run_campaign_cached(top, _cfg(), store=store)
+        key = entry_key(campaign_fingerprint(top, _cfg()), 1, "AD3")
+        (store.entries_dir / f"{key}.json").unlink()
+        builds.reset()
+        ck = tmp_path / "mixed.jsonl"
+        out = run_campaign_cached(top, _cfg(), store=store, checkpoint_path=str(ck))
+        assert (out.hits, out.misses) == (3, 1)
+        assert builds.counts() == {os.getpid(): POOL}
+        assert ck.read_bytes() == serial[1]
+
+    def test_fork_pool_builds_in_the_parent_only_when_forking(
+        self, top, builds, serial, tmp_path
+    ):
+        ck = tmp_path / "ck.jsonl"
+        records = run_campaign(top, _cfg(), jobs=2, checkpoint_path=str(ck))
+        assert _dicts(records) == serial[0]
+        assert builds.counts() == {os.getpid(): POOL}
+        # nothing left to fork for: no pool at all
+        builds.reset()
+        records = run_campaign(
+            top, _cfg(), jobs=2, checkpoint_path=str(ck), resume=True
+        )
+        assert _dicts(records) == serial[0]
+        assert builds.total() == 0
+
+    def test_queue_coordinator_builds_nothing_when_the_worker_commits(
+        self, top, builds, serial, tmp_path
+    ):
+        qdir = tmp_path / "queue"
+        ck = tmp_path / "dist.jsonl"
+        worker = mp.get_context("fork").Process(
+            target=lambda: DistWorker(
+                WorkQueue(str(qdir)), owner="w:1", poll=0.05
+            ).run()
+        )
+        worker.start()
+        try:
+            records = run_campaign_distributed(
+                top, _cfg(), queue_dir=str(qdir), checkpoint_path=str(ck),
+                fallback_after=120.0, poll=0.05,
+            )
+        finally:
+            worker.join(timeout=60)
+            if worker.is_alive():
+                worker.kill()
+        assert _dicts(records) == serial[0]
+        assert ck.read_bytes() == serial[1]
+        counts = builds.counts()
+        assert counts[os.getpid()] == 0
+        assert counts == {worker.pid: POOL}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestLazyScipy:
+    def test_importing_the_cli_skips_scipy(self):
+        proc = _python(
+            "-c", "import sys, repro.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_setup_only_compare_skips_scipy(self, tmp_path):
+        proc = _python(
+            "-X", "importtime", "-m", "repro", "compare", "--system", "mini",
+            "--nodes", "32", "--samples", "0",
+            "--checkpoint", str(tmp_path / "ck.jsonl"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.cli" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -68,12 +68,12 @@ class TestWorkerExceptions:
     def test_harness_error_propagates(self, top, monkeypatch):
         # an exception outside execute_run is a dispatcher bug, not a run
         # failure: it must abort the campaign like the serial loop would
-        import repro.parallel.campaign as pc
-
         def boom(*a, **kw):
             raise RuntimeError("harness bug")
 
-        monkeypatch.setattr(pc, "sample_draws", boom)
+        # the workers draw through the campaign background, which calls
+        # the module-level sample_draws
+        monkeypatch.setattr(exp, "sample_draws", boom)
         with pytest.raises(RuntimeError, match="harness bug"):
             run_campaign_parallel(top, _cfg(), jobs=2)
 
@@ -227,10 +227,14 @@ class TestParentSigterm:
     ``--resume`` finishes the campaign byte-identically.
     """
 
+    #: big enough that runs are still left when SIGTERM lands two records
+    #: in: a mini run takes only tens of milliseconds
+    SAMPLES = 16
+
     def _argv(self, ck):
         return [
             sys.executable, "-m", "repro", "compare",
-            "--system", "mini", "--nodes", "32", "--samples", "4",
+            "--system", "mini", "--nodes", "32", "--samples", str(self.SAMPLES),
             "--modes", "AD0,AD3", "--seed", "11", "-j", "2",
             "--checkpoint", str(ck),
         ]
@@ -252,7 +256,7 @@ class TestParentSigterm:
         )
         assert done.returncode == 0, done.stderr
         full_lines = ck_full.read_text().splitlines()
-        assert len(full_lines) == 1 + 8  # header + 4 samples x 2 modes
+        assert len(full_lines) == 1 + 2 * self.SAMPLES  # header + 2 modes each
 
         # victim: SIGTERM once at least two runs have been checkpointed
         ck = tmp_path / "preempted.jsonl"
