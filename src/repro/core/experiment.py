@@ -34,7 +34,7 @@ from repro.network.counters import CounterBank
 from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.scheduler.placement import groups_spanned, make_placement
-from repro.telemetry import MultiTraceWriter, Telemetry, resolve_telemetry
+from repro.telemetry import MultiTraceWriter, Telemetry
 from repro.telemetry.series import CadenceRecorder, CounterSeries
 from repro.topology.dragonfly import DragonflyTopology
 from repro.util import derive_rng
@@ -545,6 +545,18 @@ class CampaignBackground:
             self._draws[i] = d
         return d
 
+    def lost_record(
+        self, sample: int, mode: str, exc: BaseException, attempts: int
+    ) -> RunRecord:
+        """Error record for a run lost outside :func:`execute_run`: its
+        worker process kept dying, or its queue retry budget ran out."""
+        nodes, _, intensity = self.draws(sample)
+        routing = next(m for m in self.cfg.modes if m.name == mode)
+        return _error_record(
+            self.cfg, routing, sample, groups_spanned(self.top, nodes),
+            intensity, exc, attempts,
+        )
+
 
 def _write_guard_bundle(
     top: DragonflyTopology,
@@ -554,7 +566,7 @@ def _write_guard_bundle(
     ring: RingTraceWriter | None,
     label: str,
     sample: int,
-    mode: RoutingMode,
+    mode: str,
     attempt: int,
     exc: BaseException,
     tel: Telemetry,
@@ -572,7 +584,7 @@ def _write_guard_bundle(
             "app": cfg.app.name,
             "n_nodes": cfg.n_nodes,
             "sample": sample,
-            "mode": mode.name,
+            "mode": mode,
             "attempt": attempt,
         },
         policy=asdict(policy),
@@ -663,7 +675,7 @@ def execute_run(
                 cfg, mode, i, groups_spanned(top, nodes), intensity, exc, attempt
             )
             _write_guard_bundle(
-                top, cfg, policy, guard, ring, label, i, mode, attempt, exc, tel
+                top, cfg, policy, guard, ring, label, i, mode.name, attempt, exc, tel
             )
         except Exception as exc:
             if attempt < cfg.max_attempts:
@@ -750,7 +762,7 @@ def prepare_checkpoint(
 def emit_campaign_start(
     tel: Telemetry, cfg: CampaignConfig, done: dict, **extra
 ) -> None:
-    """The ``campaign.start`` trace event (shared with the parallel path)."""
+    """The ``campaign.start`` trace event (see :mod:`repro.core.pipeline`)."""
     tel.event(
         "campaign.start",
         app=cfg.app.name,
@@ -767,7 +779,7 @@ def emit_campaign_start(
 
 
 def emit_campaign_end(tel: Telemetry, cfg: CampaignConfig, records: list[RunRecord]) -> None:
-    """The ``campaign.end`` trace event (shared with the parallel path)."""
+    """The ``campaign.end`` trace event (see :mod:`repro.core.pipeline`)."""
     tel.event(
         "campaign.end",
         app=cfg.app.name,
@@ -819,60 +831,18 @@ def run_campaign(
     merges — falling back to the local pool if no worker ever shows up
     (see docs/DISTRIBUTED.md).  Results stay byte-identical either way.
     """
-    if queue_dir is not None:
-        from repro.dist.coordinator import run_campaign_distributed
+    from repro.core.pipeline import run_pipeline, select_backend
 
-        return run_campaign_distributed(
-            top,
-            cfg,
-            queue_dir=queue_dir,
-            background_model=background_model,
-            scenarios=scenarios,
-            telemetry=telemetry,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            jobs=jobs,
-        )
-    n_jobs = _effective_jobs(jobs)
-    if n_jobs > 1:
-        from repro.parallel.campaign import run_campaign_parallel
-
-        return run_campaign_parallel(
-            top,
-            cfg,
-            jobs=n_jobs,
-            background_model=background_model,
-            scenarios=scenarios,
-            telemetry=telemetry,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
-
-    # background scenarios are built against the pristine fabric (ambient
-    # traffic predates the fault window); the job itself routes on the
-    # degraded view
-    run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
-    done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
-    tel = resolve_telemetry(telemetry)
-    emit_campaign_start(tel, cfg, done)
-    background = CampaignBackground(top, cfg, background_model, scenarios)
-
-    records: list[RunRecord] = []
-    for i in range(cfg.samples):
-        for mode in cfg.modes:
-            prior = done.get((i, mode.name))
-            if prior is not None:
-                records.append(prior)
-                continue
-            # drawn only for a sample with a run left to execute, so a
-            # fully-resumed campaign builds no pool
-            nodes, bg, intensity = background.draws(i)
-            rec = execute_run(top, run_top, cfg, i, mode, nodes, bg, intensity, tel)
-            records.append(rec)
-            if checkpoint_path is not None:
-                ckpt.append_record(checkpoint_path, rec)
-    emit_campaign_end(tel, cfg, records)
-    return records
+    return run_pipeline(
+        top,
+        cfg,
+        select_backend(jobs, queue_dir),
+        background_model=background_model,
+        scenarios=scenarios,
+        telemetry=telemetry,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+    ).records
 
 
 def runtimes_by_mode(records: list[RunRecord], *, filter_outliers: bool = True) -> dict[str, np.ndarray]:

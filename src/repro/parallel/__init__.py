@@ -9,12 +9,14 @@ determinism contract; the short version:
 
 * per-run streams come from ``SeedSequence``-based derivation
   (:func:`repro.util.seed_sequence_for`) keyed by run identity;
-* the dispatcher finalizes results in canonical order, so checkpoint
-  files and merged telemetry are order-independent;
+* the campaign pipeline's merger (:mod:`repro.core.pipeline`) commits
+  results in canonical order, so checkpoint files and merged telemetry
+  are order-independent;
 * topology and path tables are memoized behind read-only LRU caches
   (:mod:`repro.parallel.cache`, :mod:`repro.topology.pathcache`).
 """
 
+from repro.core.pipeline import RunTask, TaskResult
 from repro.parallel.cache import (
     cached_faulted_view,
     cached_topology,
@@ -25,7 +27,7 @@ from repro.parallel.cache import (
 from repro.parallel.campaign import run_campaign_parallel
 from repro.parallel.ensembles import run_ensembles
 from repro.parallel.executor import TaskOutcome, run_tasks
-from repro.parallel.spec import RunTask, TaskResult, TopologySpec
+from repro.parallel.spec import TopologySpec
 from repro.topology.pathcache import (
     cached_minimal_paths,
     cached_valiant_paths,

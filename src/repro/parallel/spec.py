@@ -1,15 +1,14 @@
 """Pickle-safe specifications for parallel dispatch.
 
 Workers receive a :class:`TopologySpec` (or, under the ``fork`` start
-method, the topology object itself) plus tiny per-run :class:`RunTask`
-tuples; everything heavyweight is rebuilt or inherited, never streamed
-per task.
+method, the topology object itself) plus tiny per-run
+:class:`repro.core.pipeline.RunTask` tuples; everything heavyweight is
+rebuilt or inherited, never streamed per task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.topology.dragonfly import DragonflyParams, DragonflyTopology
 
@@ -32,28 +31,3 @@ class TopologySpec:
 
     def build(self) -> DragonflyTopology:
         return DragonflyTopology(self.params, seed=self.seed)
-
-
-@dataclass(frozen=True)
-class RunTask:
-    """One campaign run to execute: canonical index + its identity.
-
-    ``index`` is the run's position in the canonical (sample-major,
-    mode-minor) order — the order the serial loop executes and the
-    order checkpoint records are flushed in.
-    """
-
-    index: int
-    sample: int
-    mode: str
-
-
-@dataclass
-class TaskResult:
-    """What a worker sends back for one completed run."""
-
-    index: int
-    pid: int
-    record: Any
-    events: list[dict] = field(default_factory=list)
-    metrics: Any = None

@@ -7,10 +7,11 @@ Three layers, each usable on its own (see ``docs/SERVICE.md``):
   with crash-atomic commits, per-entry integrity hashes, corrupted-entry
   quarantine, and LRU size-bounded eviction.
 * :mod:`repro.service.executor` — :func:`run_campaign_cached`, the
-  memoizing twin of :func:`repro.core.experiment.run_campaign`: cache
-  hits are served from the store, misses fan out through the existing
-  fork pool or shared-directory queue, and everything commits back in
-  canonical order so cached and fresh campaigns are byte-identical.
+  memoizing :func:`repro.core.experiment.run_campaign`: the store is a
+  filter in front of the campaign pipeline's backend, so cache hits are
+  served from disk, misses run inline, on the fork pool or on the
+  shared-directory queue, and cached and fresh campaigns are
+  byte-identical.
 * :mod:`repro.service.http` — an asyncio HTTP/JSON service (stdlib
   only) accepting campaign submissions, deduping identical concurrent
   requests into one execution, and streaming live progress events.

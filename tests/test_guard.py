@@ -53,6 +53,7 @@ from repro.guard import (
 from repro.network.fluid import FlowSet, solve_fluid
 from repro.network.packet_sim import InjectionSpec, PacketSimulator
 from repro.parallel import run_campaign_parallel
+from repro.service import RunRecordStore, run_campaign_cached
 from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
 from repro.telemetry.report import order_events
 from repro.topology.systems import toy
@@ -421,8 +422,26 @@ class TestWatchdog:
         hb.end_task()
 
 
+def _hung_parallel(top, cfg, tel, tmp_path):
+    return run_campaign_parallel(top, cfg, jobs=2, telemetry=tel, max_pool_retries=1)
+
+
+def _hung_cached(top, cfg, tel, tmp_path):
+    # the cache's misses run on the same fork pool, at its default two
+    # retries
+    store = RunRecordStore(tmp_path / "cache")
+    return run_campaign_cached(top, cfg, store=store, jobs=2, telemetry=tel).records
+
+
 class TestHungWorker:
-    def test_hung_worker_killed_and_isolated(self, top, monkeypatch):
+    @pytest.mark.parametrize(
+        "run, attempts",
+        [(_hung_parallel, 2), (_hung_cached, 3)],
+        ids=["parallel", "cached"],
+    )
+    def test_hung_worker_killed_and_isolated(
+        self, top, monkeypatch, tmp_path, run, attempts
+    ):
         import dataclasses
 
         cfg = _cfg()
@@ -433,7 +452,9 @@ class TestHungWorker:
         def hang_target(*a, **kw):
             g = current_guard()
             if g is not None and g.label == target:
-                time.sleep(600)
+                # longer than the elapsed bound below, so a pool without
+                # the watchdog fails that assertion instead of hanging
+                time.sleep(150)
             return exp_real(*a, **kw)
 
         exp_real = exp.run_app_once
@@ -444,19 +465,17 @@ class TestHungWorker:
             cfg, guard=GuardPolicy(hang_timeout=2.0)
         )
         t0 = time.monotonic()
-        records = run_campaign_parallel(
-            top, guarded_cfg, jobs=2, telemetry=tel, max_pool_retries=1
-        )
+        records = run(top, guarded_cfg, tel, tmp_path)
         elapsed = time.monotonic() - t0
-        assert elapsed < 120.0  # two watchdog rounds, not a 600 s hang
+        assert elapsed < 120.0  # watchdog kills, not the injected sleep
 
         by_key = {(r.sample_index, r.mode): r for r in records}
         bad = by_key[(1, "AD0")]
         assert bad.status == "error" and "worker died" in bad.error
-        assert bad.attempts == 2
+        assert bad.attempts == attempts
 
         evs = [e for e in tel.trace.events if e["ev"] == "guard.worker_hung"]
-        assert len(evs) == 2  # one kill per retry round
+        assert len(evs) == attempts  # one kill per retry round
         assert all(e["stale_s"] >= 1.0 for e in evs)
         assert any(
             e["ev"] == "guard.worker_lost" and e["label"] == target

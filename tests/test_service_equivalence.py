@@ -75,12 +75,12 @@ class TestColdWarmMixed:
         run_campaign_cached(top, _cfg(), store=store)
 
         # zero simulation steps: any dispatch on the warm pass is a bug
-        import repro.service.executor as executor
+        import repro.core.pipeline as pipeline
 
         def _boom(*a, **k):
             raise AssertionError("warm replay executed a simulation run")
 
-        monkeypatch.setattr(executor, "execute_run", _boom)
+        monkeypatch.setattr(pipeline, "execute_run", _boom)
         tel = Telemetry(metrics=MetricsRegistry(enabled=True))
         ck = tmp_path / "warm.jsonl"
         out = run_campaign_cached(
@@ -165,14 +165,14 @@ class TestErrorRecordsNotCached:
                 cfg_, mode, i, 1, float(intensity), RuntimeError("boom"), 1
             )
 
-        import repro.service.executor as executor
+        import repro.core.pipeline as pipeline
 
-        orig = executor.execute_run
-        executor.execute_run = _fail
+        orig = pipeline.execute_run
+        pipeline.execute_run = _fail
         try:
             out1 = run_campaign_cached(top, cfg, store=store, telemetry=tel)
         finally:
-            executor.execute_run = orig
+            pipeline.execute_run = orig
         assert all(not r.ok for r in out1.records)
         assert len(store) == 0  # nothing cached
         out2 = run_campaign_cached(top, cfg, store=store)
