@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import signal
 import sys
 import time
@@ -71,6 +72,7 @@ from repro.telemetry import (
     summarize_trace,
     use_telemetry,
 )
+from repro.telemetry.exporter import BindError
 from repro.telemetry.top import heartbeat_ages, render_top
 from repro.topology.systems import cori, mini, slingshot, theta, toy
 from repro.util import derive_rng
@@ -284,6 +286,9 @@ def _ensemble_lines(args, app, mode, faults, res) -> list[str]:
 
 
 def cmd_ensemble(args) -> int:
+    import uuid
+
+    from repro.chaos import fs as chaos_fs
     from repro.parallel import run_ensembles
 
     top = _system(args.system)
@@ -342,11 +347,14 @@ def cmd_ensemble(args) -> int:
         print("\n".join(lines))
         outputs[remaining[idx].name] = lines
         if ck is not None:
-            # rewritten after every completed ensemble, so an interrupt
-            # leaves a resumable prefix of the sweep
-            ck.write_text(
-                json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
-            )
+            # replaced atomically after every completed ensemble, so an
+            # interrupt or a failed write leaves a resumable prefix
+            text = json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
+            tmp = ck.with_name(f".{ck.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+            try:
+                chaos_fs.write_text_atomic(ck, text, tmp)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     run_ensembles(top, cfgs, jobs=_effective_jobs(args.workers), on_result=on_result)
     return 0
@@ -1405,27 +1413,28 @@ def main(argv: list[str] | None = None) -> int:
     serve_port = None if getattr(args, "passive", False) else getattr(
         args, "serve", None
     )
-    if serve_port is not None:
-        # splice a bus into the trace path so the exporter's /runs view
-        # tracks the campaign live, with zero changes to the engines
-        bus = EventBus()
-        progress = CampaignProgress()
-        bus.subscribe(progress.feed)
-        tel.trace = MultiTraceWriter([tel.trace, BusTraceWriter(bus)])
-        exporter = MetricsExporter(tel.metrics, progress=progress, port=serve_port)
-        print(
-            f"serving /metrics /healthz /runs on {exporter.url}",
-            file=sys.stderr,
-            flush=True,
-        )
     try:
+        if serve_port is not None:
+            # splice a bus into the trace path so the exporter's /runs view
+            # tracks the campaign live, with zero changes to the engines
+            bus = EventBus()
+            progress = CampaignProgress()
+            bus.subscribe(progress.feed)
+            tel.trace = MultiTraceWriter([tel.trace, BusTraceWriter(bus)])
+            exporter = MetricsExporter(tel.metrics, progress=progress, port=serve_port)
+            print(
+                f"serving /metrics /healthz /runs on {exporter.url}",
+                file=sys.stderr,
+                flush=True,
+            )
         with use_telemetry(tel):
             rc = args.func(args)
     except NetworkPartitionedError as e:
         print(f"error: network partitioned: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        # bad config/topology/fault-spec values are user errors, not bugs
+    except (ValueError, BindError) as e:
+        # bad config/topology/fault-spec values and unbindable ports are
+        # user errors, not bugs
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

@@ -12,8 +12,8 @@ Three layers, each usable on its own (see ``docs/SERVICE.md``):
   served from disk, misses run inline, on the fork pool or on the
   shared-directory queue, and cached and fresh campaigns are
   byte-identical.
-* :mod:`repro.service.http` — an asyncio HTTP/JSON service (stdlib
-  only) accepting campaign submissions, deduping identical concurrent
+* :mod:`repro.service.http` — a threaded stdlib HTTP/JSON service
+  accepting campaign submissions, deduping identical concurrent
   requests into one execution, and streaming live progress events.
   With a journal directory (:mod:`repro.service.journal`) it re-adopts
   in-flight campaigns after a crash or restart, and drains gracefully

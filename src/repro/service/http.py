@@ -1,4 +1,4 @@
-"""Asyncio HTTP/JSON front-end for the memoizing campaign executor.
+"""HTTP/JSON front-end for the memoizing campaign executor.
 
 Stdlib only.  The service accepts campaign submissions in the dist
 manifest wire form (:func:`repro.dist.manifest.campaign_to_manifest` —
@@ -16,24 +16,23 @@ thread, and exposes:
   cache accounting; completed jobs include the full record dicts.
 * ``GET  /campaigns/<id>/events``     — NDJSON progress stream (replay
   of everything so far, then live follow until the job ends), fed by
-  the PR 7 :class:`~repro.telemetry.stream.EventBus`.
+  the job's :class:`~repro.telemetry.stream.EventBus`.
 * ``GET  /cache/stats``               — the store's counters
   (``cache_hits_total`` et al.) — the hit-rate contract surface.
 * ``GET  /healthz``                   — liveness.
 
-The HTTP layer is deliberately minimal (request line + headers +
-Content-Length body, ``Connection: close``), matching the PR 7
-exporter's scope: an operator surface, not a general web server.
+The routes return :class:`~repro.telemetry.exporter.Response` values;
+the metrics exporter's threaded :class:`~repro.telemetry.exporter.HTTPServer`
+serves them and owns the wire (body limit, timeouts, streaming).
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import threading
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from repro.chaos.failpoints import failpoint
 from repro.core import checkpoint as ckpt
@@ -43,9 +42,8 @@ from repro.service.executor import CacheOutcome, run_campaign_cached
 from repro.service.journal import JobJournal
 from repro.service.store import RunRecordStore
 from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry.exporter import HTTPServer, Response, json_response
 from repro.telemetry.stream import BusTraceWriter, CampaignProgress, EventBus
-
-_MAX_BODY = 8 * 1024 * 1024
 
 
 class ServiceDraining(RuntimeError):
@@ -122,10 +120,10 @@ class _Job:
 class CampaignService:
     """The campaign-as-a-service front door (see module docstring).
 
-    ``start()`` runs the asyncio server on a background thread and
-    returns once the port is bound (``.url`` is then valid) — the shape
-    tests and the CLI use.  Embedders already inside an event loop can
-    ``await serve()`` directly.
+    ``start()`` binds, re-adopts journalled campaigns, and serves on a
+    background thread (``.url`` is then valid) — the shape tests and
+    the CLI use.  Without ``start()`` the job table, :meth:`submit`,
+    :meth:`recover` and :meth:`drain` work in-process.
     """
 
     def __init__(
@@ -158,10 +156,9 @@ class CampaignService:
         self._inflight: dict[str, _Job] = {}
         self._lock = threading.Lock()
         self._seq = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
+        self._http: HTTPServer | None = None
+        #: set by close(): open event streams end at their next poll
+        self._closed = threading.Event()
         self.url: str | None = None
 
     # ------------------------------------------------------------------
@@ -309,45 +306,11 @@ class CampaignService:
         return leftover
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # HTTP routes
     # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                line = await asyncio.wait_for(reader.readline(), timeout=30)
-                parts = line.decode("latin-1").split()
-                if len(parts) < 2:
-                    return
-                method, path = parts[0].upper(), parts[1]
-                headers = {}
-                while True:
-                    h = await asyncio.wait_for(reader.readline(), timeout=30)
-                    if h in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = h.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                body = b""
-                n = int(headers.get("content-length", "0") or "0")
-                if n > _MAX_BODY:
-                    await self._json(writer, 413, {"error": "body too large"})
-                    return
-                if n:
-                    body = await asyncio.wait_for(reader.readexactly(n), timeout=30)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
-                return
-            await self._route(writer, method, path.split("?", 1)[0], body)
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _route(self, writer, method: str, path: str, body: bytes) -> None:
+    def _route(self, method: str, path: str, body: bytes) -> Response:
         if method == "GET" and path == "/healthz":
-            await self._json(
-                writer,
+            return json_response(
                 200,
                 {
                     "ok": True,
@@ -355,36 +318,31 @@ class CampaignService:
                     "draining": self._draining,
                 },
             )
-        elif method == "GET" and path == "/cache/stats":
-            await self._json(writer, 200, self.store.stats().to_dict())
-        elif method == "POST" and path == "/campaigns":
-            await self._post_campaign(writer, body)
-        elif method == "GET" and path == "/campaigns":
+        if method == "GET" and path == "/cache/stats":
+            return json_response(200, self.store.stats().to_dict())
+        if method == "POST" and path == "/campaigns":
+            return self._post_campaign(body)
+        if method == "GET" and path == "/campaigns":
             with self._lock:
                 jobs = list(self._jobs.values())
-            await self._json(
-                writer,
-                200,
-                {"campaigns": [j.status() for j in jobs]},
-            )
-        elif method == "GET" and path.startswith("/campaigns/"):
+            return json_response(200, {"campaigns": [j.status() for j in jobs]})
+        if method == "GET" and path.startswith("/campaigns/"):
             rest = path[len("/campaigns/"):]
-            if rest.endswith("/events"):
-                job = self.get_job(rest[: -len("/events")].rstrip("/"))
-                if job is None:
-                    await self._json(writer, 404, {"error": "no such campaign"})
-                else:
-                    await self._stream_events(writer, job)
-            else:
-                job = self.get_job(rest.rstrip("/"))
-                if job is None:
-                    await self._json(writer, 404, {"error": "no such campaign"})
-                else:
-                    await self._json(writer, 200, job.status(include_records=True))
-        else:
-            await self._json(writer, 404, {"error": f"no route for {method} {path}"})
+            events = rest.endswith("/events")
+            job = self.get_job(
+                (rest[: -len("/events")] if events else rest).rstrip("/")
+            )
+            if job is None:
+                return json_response(404, {"error": "no such campaign"})
+            if events:
+                return Response(
+                    200, "application/x-ndjson", self._events(job),
+                    (("Cache-Control", "no-store"),),
+                )
+            return json_response(200, job.status(include_records=True))
+        return json_response(404, {"error": f"no route for {method} {path}"})
 
-    async def _post_campaign(self, writer, body: bytes) -> None:
+    def _post_campaign(self, body: bytes) -> Response:
         try:
             req = json.loads(body.decode())
             manifest = req["manifest"]
@@ -392,105 +350,54 @@ class CampaignService:
             if jobs is not None:
                 jobs = int(jobs)
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
-            await self._json(writer, 400, {"error": f"bad request: {type(exc).__name__}: {exc}"})
-            return
+            return json_response(400, {"error": f"bad request: {type(exc).__name__}: {exc}"})
         try:
             job, deduped = self.submit(manifest, jobs)
         except ServiceDraining as exc:
-            await self._json(writer, 503, {"error": str(exc)})
-            return
+            return json_response(503, {"error": str(exc)})
         except (NotDistributable, KeyError, TypeError, ValueError) as exc:
-            await self._json(writer, 400, {"error": f"bad manifest: {type(exc).__name__}: {exc}"})
-            return
-        await self._json(
-            writer, 202 if not deduped else 200,
+            return json_response(400, {"error": f"bad manifest: {type(exc).__name__}: {exc}"})
+        return json_response(
+            202 if not deduped else 200,
             {"id": job.id, "deduped": deduped, "state": job.state},
         )
 
-    async def _stream_events(self, writer, job: _Job) -> None:
-        """NDJSON replay + live follow of one job's telemetry events."""
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\nConnection: close\r\n\r\n"
-        )
+    def _events(self, job: _Job) -> Iterator[bytes]:
+        """NDJSON replay + live follow of one job's events until the job
+        ends (closing with ``service.end``) or the service closes."""
         pos = 0
-        try:
-            while True:
-                events = job.events_since(pos)
-                pos += len(events)
-                for ev in events:
-                    writer.write(json.dumps(ev).encode() + b"\n")
-                if events:
-                    await writer.drain()
-                if job.done_evt.is_set() and pos >= job.event_count():
-                    writer.write(
-                        json.dumps({"ev": "service.end", "id": job.id, "state": job.state}).encode()
-                        + b"\n"
-                    )
-                    await writer.drain()
-                    return
-                await asyncio.sleep(self.poll)
-        except (ConnectionError, OSError):
-            return  # client went away mid-stream
-
-    async def _json(self, writer, status: int, obj: dict) -> None:
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 413: "Payload Too Large",
-                  503: "Service Unavailable"}.get(status, "OK")
-        payload = json.dumps(obj).encode()
-        writer.write(
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n".encode() + payload
-        )
-        await writer.drain()
+        while True:
+            events = job.events_since(pos)
+            pos += len(events)
+            if events:
+                yield b"".join(json.dumps(ev).encode() + b"\n" for ev in events)
+            if job.done_evt.is_set() and pos >= job.event_count():
+                end = {"ev": "service.end", "id": job.id, "state": job.state}
+                yield json.dumps(end).encode() + b"\n"
+                return
+            if self._closed.wait(self.poll):
+                return
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def serve(self) -> None:
-        """Bind and serve until cancelled (for embedders with a loop)."""
-        self.recover()  # re-adopt journalled campaigns before taking traffic
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.host}:{self.port}"
-        self._ready.set()
-        async with self._server:
-            await self._server.serve_forever()
-
     def start(self) -> "CampaignService":
-        """Serve on a background thread; returns once the port is bound."""
-
-        def _main() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.serve())
-            except asyncio.CancelledError:
-                pass
-            finally:
-                try:
-                    loop.run_until_complete(loop.shutdown_asyncgens())
-                finally:
-                    loop.close()
-
-        self._thread = threading.Thread(target=_main, daemon=True, name="repro-serve")
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("campaign service failed to bind")
+        """Bind, re-adopt journalled campaigns, then serve on a daemon
+        thread; returns before any request is handled.  A busy port
+        raises :class:`~repro.telemetry.exporter.BindError` at once."""
+        self._http = HTTPServer(
+            self._route, host=self.host, port=self.port, name="repro-serve",
+            http11=True,
+        )
+        self.port = self._http.port
+        self.url = self._http.url
+        self.recover()
+        self._http.start()
         return self
 
     def close(self) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            def _stop() -> None:
-                if self._server is not None:
-                    self._server.close()
-                for task in asyncio.all_tasks():
-                    task.cancel()
-
-            loop.call_soon_threadsafe(_stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        """Stop serving (idempotent); open event streams end within one
+        ``poll`` interval and are not waited for."""
+        self._closed.set()
+        if self._http is not None:
+            self._http.close()

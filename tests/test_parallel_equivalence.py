@@ -8,7 +8,11 @@ with and without fault schedules, including the interleaving-scrambled
 delivery order the ``scramble_seed`` test hook produces.
 """
 
+import builtins
+import errno
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,42 @@ class TestCliEquivalence:
         resumed = self._run(capsys, [*argv, "--workers", "2", "--resume"])
         assert resumed == f"(resumed from {ck})\n" + full
         assert set(json.loads(ck.read_text())["outputs"]) == {"AD0", "AD3"}
+
+    def test_ensemble_checkpoint_survives_a_failed_rewrite(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """ENOSPC on the second checkpoint write must not tear the first."""
+        ck = tmp_path / "ens.json"
+        argv = [
+            "ensemble", "--system", "mini", "--app", "milc",
+            "--jobs", "2", "--nodes", "16", "--modes", "AD0,AD3",
+            "--checkpoint", str(ck), "--workers", "1",
+        ]
+        full = self._run(capsys, argv)
+        ck.unlink()
+        real_open = builtins.open
+        opened = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).parent == tmp_path:
+                opened.append(file)
+                if len(opened) == 2:  # truncated, then the write fails
+                    f.close()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return f
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        monkeypatch.setattr(io, "open", failing_open)
+        from repro.cli import main
+
+        with pytest.raises(OSError, match="No space left"):
+            main(argv)
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
+        resumed = self._run(capsys, [*argv, "--resume"])
+        assert resumed == f"(resumed from {ck})\n" + full
 
     def test_calibrate_probe_jobs_identical(self, theta_top):
         from repro.core.calibration import probe_observables
