@@ -237,6 +237,7 @@ def cmd_facility(args) -> int:
 
 def cmd_calibrate(args) -> int:
     from repro.core.calibration import (
+        check_sweepable,
         format_score,
         probe_observables,
         score_against_paper,
@@ -245,6 +246,9 @@ def cmd_calibrate(args) -> int:
 
     top = _system(args.system)
     if args.param:
+        if not args.values:
+            raise ValueError("--values is required with --param")
+        check_sweepable(args.param)
         values = [float(v) for v in args.values.split(",")]
         print(f"sweeping {args.param} over {values} ...")
         out = sweep_parameter(

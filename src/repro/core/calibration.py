@@ -126,6 +126,21 @@ _SWEEPABLE = {
 }
 
 
+class UnknownConstantError(KeyError, ValueError):
+    """A sweep named a constant outside ``_SWEEPABLE`` (a config error)."""
+
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0])
+
+
+def check_sweepable(name: str) -> None:
+    """Raise :class:`UnknownConstantError` unless ``name`` can be swept."""
+    if name not in _SWEEPABLE:
+        raise UnknownConstantError(
+            f"unknown sweepable constant {name!r}; have {sorted(_SWEEPABLE)}"
+        )
+
+
 def sweep_parameter(
     top: DragonflyTopology,
     name: str,
@@ -140,8 +155,7 @@ def sweep_parameter(
     Returns ``{value: observables}``; use it to see how sensitive the
     paper anchors are to a constant before changing it.
     """
-    if name not in _SWEEPABLE:
-        raise KeyError(f"unknown sweepable constant {name!r}; have {sorted(_SWEEPABLE)}")
+    check_sweepable(name)
     out: dict[float, dict[str, float]] = {}
     for value in values:
         cm = dataclasses.replace(CongestionModel(), **{name: value})

@@ -6,8 +6,8 @@ from the queue directory alone — the manifest is the wire form of
 plain JSON; objects are reduced to the registry names and scalar
 parameters their constructors round-trip from:
 
-* topology: ``asdict(DragonflyParams)`` + structural seed (the same pair
-  :class:`repro.parallel.spec.TopologySpec` rebuilds from);
+* topology: ``asdict(DragonflyParams)`` + structural seed (the pair
+  :class:`repro.topology.dragonfly.DragonflyTopology` rebuilds from);
 * application: its registry name (:func:`repro.apps.app_by_name`);
 * routing modes: registry names (:func:`repro.core.biases.mode_by_name`);
 * faults: the original ``FaultSchedule.parse`` text plus its seed

@@ -255,11 +255,11 @@ def _visible_links(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class _BundleAux:
     """Precomputed gather/scatter geometry for one frozen path bundle.
 
-    The path cache returns shared, read-only bundles, so repeated solves
-    over the same flow set (campaign reruns, calibration sweeps,
-    benchmark rounds) reuse this setup instead of re-deriving masks and
-    scatter indices every call.  Cached on the bundle instance, keyed by
-    the (n_flows, n_links) pair it was built for.
+    Cached on the bundle instance, keyed by the (n_flows, n_links) pair
+    it was built for.  Only inside a ``path_memo()`` scope
+    (:mod:`repro.topology.pathcache`) is a bundle handed out again, so
+    only there do repeated solves over the same flow set reuse this
+    setup instead of re-deriving masks and scatter indices.
     """
 
     __slots__ = (

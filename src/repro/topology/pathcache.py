@@ -1,11 +1,17 @@
-"""Memoized minimal/Valiant path-table construction.
+"""Minimal/Valiant path-table construction with an opt-in, scoped memo.
 
-Building path bundles is the single most expensive pure step of a fluid
-solve, and campaign sweeps repeatedly rebuild identical tables — e.g.
-``sweep_parameter`` re-runs the same seeded campaign once per candidate
-constant, so every (placement, flow set, RNG stream) triple recurs
-exactly.  This module wraps :func:`repro.topology.paths.minimal_paths` /
-``valiant_paths`` in a bounded LRU memo that is *provably* transparent:
+Outside a :func:`path_memo` scope, :func:`cached_minimal_paths` /
+:func:`cached_valiant_paths` call the real builders and keep nothing:
+campaign runs each draw their own RNG key, so a memo would never hit
+there and would only pin every bundle (and its solver scratch) in
+memory.  Callers that rebuild identical tables on purpose — benchmark
+rounds replaying one seeded input — open a scope instead::
+
+    with path_memo():
+        for _ in range(reps):
+            solve_fluid(top, flows, modes, rng=np.random.default_rng(2))
+
+Inside the scope the memo is *provably* transparent:
 
 * The key includes a fingerprint of the topology **structure and fault
   mask**, the builder kind and ``k``, digests of the ``src``/``dst``
@@ -13,24 +19,23 @@ exactly.  This module wraps :func:`repro.topology.paths.minimal_paths` /
 * On a miss, the real builder runs and the generator's **post-call bit
   state** is recorded alongside the bundle.
 * On a hit, the caller's generator is fast-forwarded to the recorded
-  post-call state and the cached bundle is returned.
+  post-call state and the memoized bundle is returned.
 
 Because the bit-generator state fully determines every draw the builder
 would make, a hit returns byte-identical arrays *and* leaves the
 generator byte-identical to a fresh build — downstream draws cannot
-diverge.  Cached arrays are frozen read-only and shared (never copied),
-so a would-be mutation raises instead of poisoning later hits.
-
-Set ``REPRO_PATH_CACHE=0`` to disable, or to an integer to change the
-entry cap (default ``16``).
+diverge.  Memoized arrays are frozen read-only and shared (never
+copied), so a would-be mutation raises instead of poisoning later hits.
+Leaving the scope drops every entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
-from collections import OrderedDict
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -38,25 +43,27 @@ import numpy as np
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.paths import PathBundle, minimal_paths, valiant_paths
 
-# Sized for the packet simulator's per-message registration pattern (two
-# entries per message, a few dozen messages per microbenchmark round) on
-# top of campaign fluid solves (a handful of large bundles).  Worst-case
-# resident set is maxsize x the largest bundle (~1.4 MB at 4k flows).
-_DEFAULT_MAXSIZE = 48
-
+# the open scope's entries, per thread/context; None outside any scope
+_memo: ContextVar[dict[tuple, tuple[PathBundle, dict]] | None] = ContextVar(
+    "path_memo", default=None
+)
 _lock = threading.Lock()
-_store: OrderedDict[tuple, tuple[PathBundle, dict]] = OrderedDict()
-_stats = {"hits": 0, "misses": 0, "evictions": 0}
+_stats = {"hits": 0, "misses": 0}
 
 
-def _maxsize() -> int:
-    raw = os.environ.get("REPRO_PATH_CACHE", "")
-    if not raw:
-        return _DEFAULT_MAXSIZE
+@contextmanager
+def path_memo() -> Iterator[None]:
+    """Memoize path tables until the scope exits.
+
+    The scope belongs to the current thread (context), so other threads
+    keep building fresh.  A nested scope starts empty and, on exit, hands
+    back the enclosing scope's entries.
+    """
+    token = _memo.set({})
     try:
-        return max(0, int(raw))
-    except ValueError:
-        return _DEFAULT_MAXSIZE
+        yield
+    finally:
+        _memo.reset(token)
 
 
 def topology_fingerprint(top: DragonflyTopology) -> tuple:
@@ -93,6 +100,11 @@ def _freeze(bundle: PathBundle) -> PathBundle:
     return bundle
 
 
+def _count(event: str) -> None:
+    with _lock:
+        _stats[event] += 1
+
+
 def _memoized(
     kind: str,
     builder: Callable[..., PathBundle],
@@ -102,8 +114,9 @@ def _memoized(
     k: int,
     rng: np.random.Generator,
 ) -> PathBundle:
-    maxsize = _maxsize()
-    if maxsize == 0:
+    memo = _memo.get()
+    if memo is None:
+        _count("misses")
         return builder(top, src, dst, k=k, rng=rng)
     key = (
         topology_fingerprint(top),
@@ -114,23 +127,15 @@ def _memoized(
         type(rng.bit_generator).__name__,
         _rng_state_digest(rng),
     )
-    with _lock:
-        hit = _store.get(key)
-        if hit is not None:
-            _store.move_to_end(key)
-            _stats["hits"] += 1
+    hit = memo.get(key)
     if hit is not None:
+        _count("hits")
         bundle, post_state = hit
         rng.bit_generator.state = post_state
         return bundle
+    _count("misses")
     bundle = _freeze(builder(top, src, dst, k=k, rng=rng))
-    with _lock:
-        _stats["misses"] += 1
-        _store[key] = (bundle, rng.bit_generator.state)
-        _store.move_to_end(key)
-        while len(_store) > maxsize:
-            _store.popitem(last=False)
-            _stats["evictions"] += 1
+    memo[key] = (bundle, rng.bit_generator.state)
     return bundle
 
 
@@ -142,7 +147,7 @@ def cached_minimal_paths(
     k: int = 2,
     rng: np.random.Generator,
 ) -> PathBundle:
-    """Memoizing drop-in for :func:`repro.topology.paths.minimal_paths`."""
+    """:func:`repro.topology.paths.minimal_paths`, memoized in a scope."""
     return _memoized("minimal", minimal_paths, top, src, dst, k, rng)
 
 
@@ -154,18 +159,11 @@ def cached_valiant_paths(
     k: int = 2,
     rng: np.random.Generator,
 ) -> PathBundle:
-    """Memoizing drop-in for :func:`repro.topology.paths.valiant_paths`."""
+    """:func:`repro.topology.paths.valiant_paths`, memoized in a scope."""
     return _memoized("nonminimal", valiant_paths, top, src, dst, k, rng)
 
 
 def path_cache_stats() -> dict[str, int]:
-    """Current hit/miss/eviction counters plus entry count."""
+    """Process-lifetime counters: memo ``hits`` and ``misses`` (every build)."""
     with _lock:
-        return {**_stats, "entries": len(_store)}
-
-
-def clear_path_cache() -> None:
-    """Drop all cached path tables and reset counters."""
-    with _lock:
-        _store.clear()
-        _stats.update(hits=0, misses=0, evictions=0)
+        return dict(_stats)

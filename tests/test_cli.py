@@ -96,6 +96,20 @@ class TestCalibrateCommand:
         assert args.param == "stall_kappa"
         assert args.values == "1,3"
 
+    def test_unknown_param_is_a_config_error(self, capsys):
+        assert main(["calibrate", "--param", "nosuch", "--values", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: unknown sweepable constant 'nosuch'; have ["
+        )
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_param_without_values_is_a_config_error(self, capsys):
+        assert main(["calibrate", "--param", "stall_kappa"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --values is required with --param\n"
+        assert captured.out == ""
+
     def test_score_runs_small(self, capsys):
         assert main(["calibrate", "--samples", "2"]) == 0
         out = capsys.readouterr().out

@@ -26,7 +26,6 @@ from repro.faults.model import FaultSchedule
 from repro.mpi.env import RoutingEnv
 from repro.network.fluid import FlowSet, FluidParams, solve_fluid
 from repro.network.packet_sim import InjectionSpec, PacketSimConfig, PacketSimulator
-from repro.topology.pathcache import clear_path_cache
 from repro.topology.systems import mini, toy
 
 from tests import _reference_fluid as ref_fluid
@@ -85,7 +84,6 @@ def _fluid_pair(top, n_flows, *, seed, modes, background=None, params=None, **kw
     """Run the same scenario through both solvers with fresh RNG streams."""
     out = []
     for solver, fsc in ((solve_fluid, FlowSet), (ref_fluid.solve_fluid, ref_fluid.FlowSet)):
-        clear_path_cache()
         fl = _random_flows(top, n_flows, seed, n_cls=len(modes), flowset_cls=fsc)
         out.append(
             solver(
@@ -253,9 +251,7 @@ class TestPacketGolden:
     @pytest.mark.parametrize("scenario", list(_PACKET_SCENARIOS), ids=str)
     def test_scenario_identical(self, scenario):
         build = _PACKET_SCENARIOS[scenario]
-        clear_path_cache()
         new = build(PacketSimulator, PacketSimConfig)
-        clear_path_cache()
         old = build(ref_pkt.PacketSimulator, ref_pkt.PacketSimConfig)
         assert_packet_identical(new, old)
 
@@ -275,9 +271,7 @@ class TestEndToEndGolden:
         p_new = tmp_path / "new.jsonl"
         p_old = tmp_path / "old.jsonl"
 
-        clear_path_cache()
         new = run_campaign(top, cfg, checkpoint_path=str(p_new))
-        clear_path_cache()
         monkeypatch.setattr(
             "repro.core.experiment.solve_fluid", ref_fluid.solve_fluid
         )
@@ -303,9 +297,7 @@ class TestEndToEndGolden:
             comm.waitall(reqs)
             return comm
 
-        clear_path_cache()
         new = workload()
-        clear_path_cache()
         monkeypatch.setattr(mpi_api, "PacketSimulator", ref_pkt.PacketSimulator)
         old = workload()
         assert new.now == old.now

@@ -21,7 +21,6 @@ from repro.core.biases import AD0, AD1, AD2, AD3
 from repro.faults.errors import NetworkPartitionedError
 from repro.faults.model import FaultSchedule
 from repro.network.packet_sim import InjectionSpec, PacketSimConfig, PacketSimulator
-from repro.topology.pathcache import clear_path_cache
 from repro.topology.systems import toy
 
 from tests import _reference_packet_sim as ref_pkt
@@ -97,13 +96,11 @@ def _build(cls, cfg_cls, ops, patience, max_retry, fault):
 def test_interleaved_program_identical(ops, patience, max_retry, fault):
     # a drawn fault can legitimately partition a drawn flow's endpoints;
     # that must surface as the same error from both engines
-    clear_path_cache()
     try:
         new = _build(PacketSimulator, PacketSimConfig, ops, patience, max_retry, fault)
         new_err = None
     except NetworkPartitionedError as e:
         new, new_err = None, str(e)
-    clear_path_cache()
     try:
         old = _build(
             ref_pkt.PacketSimulator, ref_pkt.PacketSimConfig,

@@ -1,27 +1,28 @@
 """Property-based tests (hypothesis) for the parallel subsystem's
-determinism primitives: SeedSequence-based stream derivation, the
-topology/faulted-view LRU cache, and the path-table memo.
+determinism primitives: SeedSequence-based stream derivation and the
+scoped path-table memo.
 """
+
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import MILC
+from repro.core.biases import AD0, AD3
+from repro.core.experiment import CampaignConfig, run_campaign
 from repro.faults import FaultSchedule
-from repro.parallel import (
-    TopologySpec,
-    cached_faulted_view,
+from repro.topology.pathcache import (
     cached_minimal_paths,
-    cached_topology,
-    clear_path_cache,
-    clear_topology_cache,
+    cached_valiant_paths,
     path_cache_stats,
+    path_memo,
     topology_fingerprint,
 )
-from repro.topology.paths import minimal_paths, valiant_paths
-from repro.topology.pathcache import cached_valiant_paths
-from repro.topology.systems import toy
+from repro.topology.paths import PathBundle, minimal_paths, valiant_paths
+from repro.topology.systems import mini, toy
 from repro.util import derive_rng, seed_sequence_for, spawn_rng_streams
 
 SLOW = settings(
@@ -78,80 +79,20 @@ class TestSeedDerivation:
         )
 
 
-class TestTopologyCache:
-    @given(seed=st.integers(0, 40))
-    @SLOW
-    def test_cache_hit_equals_fresh_build(self, seed):
-        clear_topology_cache()
-        spec = TopologySpec.of(toy(seed=seed))
-        cached = cached_topology(spec)
-        fresh = spec.build()
-        for name, value in vars(fresh).items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(getattr(cached, name), value), name
-        assert cached_topology(spec) is cached  # second lookup is a hit
-
-    @given(s1=st.integers(0, 40), s2=st.integers(0, 40))
-    @SLOW
-    def test_distinct_specs_never_alias(self, s1, s2):
-        spec1 = TopologySpec.of(toy(seed=s1))
-        spec2 = TopologySpec.of(toy(seed=s2))
-        assert (spec1 == spec2) == (s1 == s2)
-        t1, t2 = cached_topology(spec1), cached_topology(spec2)
-        assert (t1 is t2) == (s1 == s2)
-
-    @given(
-        spec_a=FAULT_SPECS, seed_a=st.integers(0, 5),
-        spec_b=FAULT_SPECS, seed_b=st.integers(0, 5),
-    )
-    @SLOW
-    def test_faulted_view_keys_never_alias(self, spec_a, seed_a, spec_b, seed_b):
-        base = TopologySpec.of(toy())
-        fa = FaultSchedule.parse(spec_a, seed=seed_a)
-        fb = FaultSchedule.parse(spec_b, seed=seed_b)
-        va = cached_faulted_view(base, fa)
-        vb = cached_faulted_view(base, fb)
-        if fa == fb:
-            assert va is vb
-        else:
-            assert va is not vb
-            # equal fingerprints would mean the path memo could serve one
-            # view's tables for the other; only identical masks may match
-            if not np.array_equal(va.capacity, vb.capacity):
-                assert topology_fingerprint(va) != topology_fingerprint(vb)
-
-    @given(fault=FAULT_SPECS, seed=st.integers(0, 5))
-    @SLOW
-    def test_faulted_view_matches_with_faults(self, fault, seed):
-        schedule = FaultSchedule.parse(fault, seed=seed)
-        spec = TopologySpec.of(toy())
-        view = cached_faulted_view(spec, schedule)
-        direct = toy().with_faults(schedule)
-        assert np.array_equal(view.capacity, direct.capacity)
-
-    def test_mutating_cached_topology_raises(self):
-        clear_topology_cache()
-        spec = TopologySpec.of(toy())
-        top = cached_topology(spec)
-        with pytest.raises(ValueError):
-            top.capacity[0] = 99.0
-        view = cached_faulted_view(spec, FaultSchedule.parse("rank3:0.25", seed=1))
-        with pytest.raises(ValueError):
-            view.capacity[0] = 99.0
-        with pytest.raises(ValueError):
-            view.fault_scale[0] = 0.0
-
-
 class TestPathCache:
     def _flows(self, top, rng):
         src = rng.integers(0, top.n_nodes, size=24)
         dst = (src + 1 + rng.integers(0, top.n_nodes - 1, size=24)) % top.n_nodes
         return src, dst
 
+    def _counts(self, before):
+        now = path_cache_stats()
+        return {k: now[k] - before[k] for k in ("hits", "misses")}
+
     @given(seed=st.integers(0, 200))
     @SLOW
     def test_hit_equals_fresh_build_and_rng_state(self, seed):
-        top = cached_topology(TopologySpec.of(toy()))
+        top = toy()
         src, dst = self._flows(top, derive_rng(seed, "flows"))
         for cached_fn, fresh_fn in (
             (cached_minimal_paths, minimal_paths),
@@ -159,13 +100,14 @@ class TestPathCache:
         ):
             rng_f = derive_rng(seed, "paths")
             fresh = fresh_fn(top, src, dst, k=2, rng=rng_f)
-            clear_path_cache()
-            rng_m = derive_rng(seed, "paths")
-            miss = cached_fn(top, src, dst, k=2, rng=rng_m)
-            rng_h = derive_rng(seed, "paths")
-            hit = cached_fn(top, src, dst, k=2, rng=rng_h)
-            stats = path_cache_stats()
-            assert stats["hits"] == 1 and stats["misses"] == 1
+            before = path_cache_stats()
+            with path_memo():
+                rng_m = derive_rng(seed, "paths")
+                miss = cached_fn(top, src, dst, k=2, rng=rng_m)
+                rng_h = derive_rng(seed, "paths")
+                hit = cached_fn(top, src, dst, k=2, rng=rng_h)
+            assert self._counts(before) == {"hits": 1, "misses": 1}
+            assert hit is miss
             for bundle in (miss, hit):
                 assert np.array_equal(bundle.links, fresh.links)
                 assert np.array_equal(bundle.flow, fresh.flow)
@@ -178,22 +120,83 @@ class TestPathCache:
     @given(seed=st.integers(0, 200))
     @SLOW
     def test_different_rng_state_is_a_different_key(self, seed):
-        top = cached_topology(TopologySpec.of(toy()))
+        top = toy()
         src, dst = self._flows(top, derive_rng(seed, "flows"))
-        clear_path_cache()
-        rng_a = derive_rng(seed, "paths")
-        cached_minimal_paths(top, src, dst, k=2, rng=rng_a)
-        rng_b = derive_rng(seed, "paths")
-        rng_b.integers(0, 10)  # advanced state: must not hit
-        cached_minimal_paths(top, src, dst, k=2, rng=rng_b)
-        assert path_cache_stats()["misses"] == 2
+        before = path_cache_stats()
+        with path_memo():
+            rng_a = derive_rng(seed, "paths")
+            cached_minimal_paths(top, src, dst, k=2, rng=rng_a)
+            rng_b = derive_rng(seed, "paths")
+            rng_b.integers(0, 10)  # advanced state: must not hit
+            cached_minimal_paths(top, src, dst, k=2, rng=rng_b)
+        assert self._counts(before) == {"hits": 0, "misses": 2}
+
+    @given(
+        spec_a=FAULT_SPECS, seed_a=st.integers(0, 5),
+        spec_b=FAULT_SPECS, seed_b=st.integers(0, 5),
+    )
+    @SLOW
+    def test_fault_masks_never_share_a_fingerprint(
+        self, spec_a, seed_a, spec_b, seed_b
+    ):
+        # equal fingerprints would let the memo serve one view's tables
+        # for the other; only identical masks may match
+        va = toy().with_faults(FaultSchedule.parse(spec_a, seed=seed_a))
+        vb = toy().with_faults(FaultSchedule.parse(spec_b, seed=seed_b))
+        if not np.array_equal(va.capacity, vb.capacity):
+            assert topology_fingerprint(va) != topology_fingerprint(vb)
 
     def test_cached_bundles_are_read_only(self):
-        top = cached_topology(TopologySpec.of(toy()))
+        top = toy()
         src, dst = self._flows(top, derive_rng(0, "flows"))
-        clear_path_cache()
-        bundle = cached_minimal_paths(top, src, dst, k=2, rng=derive_rng(0, "p"))
-        with pytest.raises(ValueError):
-            bundle.links[0, 0] = -2
-        with pytest.raises(ValueError):
-            bundle.flow[0] = 0
+        with path_memo():
+            bundle = cached_minimal_paths(top, src, dst, k=2, rng=derive_rng(0, "p"))
+            with pytest.raises(ValueError):
+                bundle.links[0, 0] = -2
+            with pytest.raises(ValueError):
+                bundle.flow[0] = 0
+
+    def test_leaving_a_scope_drops_its_entries(self):
+        top = toy()
+        src, dst = self._flows(top, derive_rng(0, "flows"))
+
+        def build():
+            return cached_minimal_paths(top, src, dst, k=2, rng=derive_rng(0, "p"))
+
+        before = path_cache_stats()
+        with path_memo():
+            outer = build()
+            with path_memo():
+                assert build() is not outer  # a nested scope starts empty
+            assert build() is outer  # and hands the outer entries back
+        with path_memo():
+            assert build() is not outer
+        assert self._counts(before) == {"hits": 1, "misses": 3}
+
+    def test_outside_a_scope_every_call_builds(self):
+        top = toy()
+        src, dst = self._flows(top, derive_rng(0, "flows"))
+        before = path_cache_stats()
+        a = cached_minimal_paths(top, src, dst, k=2, rng=derive_rng(0, "p"))
+        b = cached_minimal_paths(top, src, dst, k=2, rng=derive_rng(0, "p"))
+        assert self._counts(before) == {"hits": 0, "misses": 2}
+        assert a is not b and np.array_equal(a.links, b.links)
+
+    def test_campaign_keeps_no_bundle_alive(self):
+        gc.collect()
+        # hold the bundles other tests left alive, so no id can be reused
+        alive = [o for o in gc.get_objects() if isinstance(o, PathBundle)]
+        known = {id(o) for o in alive}
+        cfg = CampaignConfig(
+            app=MILC(), n_nodes=32, modes=(AD0, AD3), samples=2, seed=11,
+            scenario_pool=4,
+        )
+        before = path_cache_stats()
+        run_campaign(mini(), cfg)
+        assert self._counts(before)["misses"] > 0
+        gc.collect()
+        leaked = [
+            o for o in gc.get_objects()
+            if isinstance(o, PathBundle) and id(o) not in known
+        ]
+        assert leaked == []
