@@ -17,8 +17,6 @@ import functools
 import os
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.experiment import CampaignConfig, run_campaign
 from repro.scheduler.background import BackgroundModel
 from repro.topology.systems import cori, theta

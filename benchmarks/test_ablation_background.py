@@ -6,8 +6,6 @@ MILC and for HACC: MILC's AD3 advantage should *grow* with congestion,
 while HACC's AD3 penalty persists (its bisection bottleneck is its own).
 """
 
-import numpy as np
-
 from _harness import background_pool, fmt_table, report, theta_top
 from repro.apps import HACC, MILC
 from repro.core.experiment import mask_endpoint_background, run_app_once

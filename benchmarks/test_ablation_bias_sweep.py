@@ -7,8 +7,6 @@ should improve monotonically-ish with minimal bias for this
 latency-bound app, saturating once the bias is strong enough.
 """
 
-import numpy as np
-
 from _harness import background_pool, fmt_table, n_samples, report, theta_top
 from repro.apps import MILC
 from repro.core.biases import custom_bias
@@ -39,7 +37,6 @@ def test_ablation_bias_sweep(benchmark):
     report("ablation_bias_sweep", _fmt(st))
 
     # the unbiased default is the worst (or near-worst) choice for MILC
-    worst = max(st.values(), key=lambda s: s.mean)
     assert st["S0A0"].mean > min(s.mean for s in st.values())
     # strong multiplicative bias (the AD3 family) beats no bias
     assert st["S2A0"].mean < st["S0A0"].mean

@@ -10,8 +10,6 @@ bisection-bound app's AD3 penalty deepens (its minimal bundles saturate
 sooner).
 """
 
-import numpy as np
-
 from _harness import fmt_table, n_samples, report
 from repro.apps import HACC, MILC
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode

@@ -5,8 +5,6 @@ compact and scattered process placement" — the mode *ranking* is
 placement-independent even though absolute runtimes differ.
 """
 
-import numpy as np
-
 from _harness import cached_campaign, fmt_table, n_samples, report
 from repro.apps import MILC
 from repro.core.experiment import stats_by_mode

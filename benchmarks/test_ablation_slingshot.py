@@ -8,8 +8,6 @@ application."  Rerun the MILC (latency-bound) vs HACC (bisection-bound)
 comparison on a Slingshot-generation system.
 """
 
-import numpy as np
-
 from _harness import fmt_table, n_samples, report
 from repro.apps import HACC, MILC
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode

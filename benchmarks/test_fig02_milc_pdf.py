@@ -5,8 +5,6 @@ Paper: MILC mean drops 542.6 -> 482.5 s (11%) under AD3, and both the
 shape at lower absolute runtimes.
 """
 
-import numpy as np
-
 from _harness import cached_campaign, fmt_table, n_samples, report
 from repro.apps import MILC, MILCReorder
 from repro.core.experiment import runtimes_by_mode, stats_by_mode

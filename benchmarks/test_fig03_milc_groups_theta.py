@@ -6,8 +6,6 @@ span; at 512 nodes on Theta AD3 shows a small mean *decrease* (-3%) in
 production (the underutilized-network regime).
 """
 
-import numpy as np
-
 from _harness import cached_campaign, fmt_table, n_samples, report
 from repro.apps import MILC, MILCReorder
 from repro.core.analysis import group_span_series

@@ -5,8 +5,6 @@ AD3 wins at *all* three sizes — including 512 nodes (+6%), unlike Theta —
 with 256 nodes improving 13.5%.
 """
 
-import numpy as np
-
 from _harness import cached_campaign, fmt_table, n_samples, report
 from repro.apps import MILC
 from repro.core.experiment import stats_by_mode

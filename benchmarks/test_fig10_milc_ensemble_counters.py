@@ -7,8 +7,6 @@ three network classes (fewer packet transmissions with minimal paths),
 and a lower aggregate stalls-to-flits ratio.
 """
 
-import numpy as np
-
 from _harness import fmt_table, report, theta_top
 from repro.apps import MILC
 from repro.core.biases import AD0, AD3

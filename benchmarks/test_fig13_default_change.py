@@ -9,7 +9,6 @@ after the change; MILC probe runs improve ~11.8%.
 import numpy as np
 
 from _harness import fmt_table, n_samples, report, theta_top
-from repro.core.facility import run_default_change_study
 from repro.core.reporting import series_plot
 
 
@@ -17,8 +16,6 @@ def run_fig13():
     # drive both windows with the same time-correlated machine state
     # from the batch-scheduler simulation (as the real LDMS weeks are
     # consecutive minutes of one evolving system)
-    import numpy as np
-
     from repro.core.facility import DefaultChangeStudy, WindowConfig, simulate_production_window
     from repro.mpi.env import RoutingEnv
     from repro.core.biases import AD3

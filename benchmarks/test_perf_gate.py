@@ -1,8 +1,9 @@
 """Perf-regression gate over the engine hot-path kernels.
 
-Times the three engine kernels the hot-path overhaul targets — packet-sim
-stepping, the 4k-flow fluid solve, and a full MILC run — and checks them
-two ways:
+Times the engine kernels the hot-path overhauls target — packet-sim
+stepping, the 4k-flow fluid solve (warm path memo), a cold Theta fluid
+solve (path build and solver set-up included), the Theta path build, and
+a full MILC run — and checks them two ways:
 
 * **Regression vs the committed baseline** — each kernel must stay
   within ``REPRO_PERF_GATE_SLACK`` (default 2x) of the absolute seconds
@@ -12,6 +13,7 @@ two ways:
   quadratic path), not 10% noise.
 * **Speedup vs the frozen seed** — the pre-overhaul engines are kept
   verbatim in ``tests/_reference_fluid.py`` / ``_reference_packet_sim.py``
+  (and the row-by-row path builders in ``tests/_reference_paths.py``)
   and timed *in the same process on the same box*, so the measured
   speedup is box-independent.  It must not fall below the per-kernel
   ``min_speedup`` floor locked into the baseline file.
@@ -22,6 +24,7 @@ artifact by the ``perf-smoke`` job) so the trajectory is inspectable
 even when the gate passes.  Re-baselining policy: docs/PERFORMANCE.md.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -36,25 +39,28 @@ sys.path.insert(0, str(REPO_ROOT))  # for the frozen tests._reference_* engines
 
 from repro.apps import MILC  # noqa: E402
 from repro.core.biases import AD0  # noqa: E402
-from repro.core.experiment import run_app_once  # noqa: E402
+from repro.core.experiment import phase_slices, run_app_once  # noqa: E402
 from repro.mpi.env import RoutingEnv  # noqa: E402
-from repro.network.fluid import FlowSet, solve_fluid  # noqa: E402
+from repro.network.fluid import FlowSet, FluidParams, solve_fluid  # noqa: E402
 from repro.network.packet_sim import InjectionSpec, PacketSimulator  # noqa: E402
 from repro.topology.pathcache import path_memo  # noqa: E402
+from repro.topology.paths import minimal_paths, valiant_paths  # noqa: E402
 from repro.topology.systems import theta, toy  # noqa: E402
 from repro.util import derive_rng  # noqa: E402
 
 from tests import _reference_fluid as ref_fluid  # noqa: E402
 from tests import _reference_packet_sim as ref_pkt  # noqa: E402
+from tests import _reference_paths as ref_paths  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "results" / "engine_baseline.json"
 CURRENT_PATH = Path(__file__).parent / "results" / "engine_perf_current.json"
 
 
-def _time(fn, reps, warmup=2):
+def _time(fn, reps, warmup=2, memo=True):
     # the rounds replay one seeded input, so a path-table memo scope lets
-    # the warmup build the tables every timed rep then reuses
-    with path_memo():
+    # the warmup build the tables every timed rep then reuses; cold
+    # kernels (memo=False) pay the path build and solver set-up each rep
+    with path_memo() if memo else contextlib.nullcontext():
         for _ in range(warmup):
             fn()
         t0 = time.perf_counter()
@@ -88,6 +94,24 @@ def _fluid_round(solver, flowset_cls, top):
     return run
 
 
+def _milc512_phase(top):
+    """The first phase of a 512-node MILC job on randomly placed nodes."""
+    nodes = np.sort(np.random.default_rng(512).choice(top.n_nodes, 512, replace=False))
+    phase = MILC().phases(nodes, derive_rng(4, "perf"))[0]
+    return phase_slices(phase)[0], phase.spread_time
+
+
+def _path_round(minimal, valiant, top, flows):
+    params = FluidParams()  # the solver's default candidate counts
+
+    def run():
+        rng = np.random.default_rng(2)
+        minimal(top, flows.src, flows.dst, k=params.k_min, rng=rng)
+        valiant(top, flows.src, flows.dst, k=params.k_nonmin, rng=rng)
+
+    return run
+
+
 def test_perf_gate():
     warnings.simplefilter("ignore")
     baseline = json.loads(BASELINE_PATH.read_text())["kernels"]
@@ -108,6 +132,32 @@ def test_perf_gate():
     t_new = _time(_fluid_round(solve_fluid, FlowSet, top), reps=5)
     t_seed = _time(_fluid_round(ref_fluid.solve_fluid, ref_fluid.FlowSet, top), reps=5)
     measured["fluid_solve_4k_flows"] = {
+        "optimized_seconds": t_new,
+        "seed_seconds": t_seed,
+        "speedup": t_seed / t_new,
+    }
+
+    # a cold MILC-512-shaped Theta solve: every rep draws its paths and
+    # builds its solver geometry afresh, as each campaign run does
+    milc_flows, spread = _milc512_phase(top)
+
+    def cold_solve():
+        solve_fluid(
+            top, milc_flows, [AD0], rng=np.random.default_rng(2), min_duration=spread
+        )
+
+    measured["fluid_solve_theta_cold"] = {
+        "optimized_seconds": _time(cold_solve, reps=5, memo=False)
+    }
+
+    # the same flows' minimal + Valiant path build: column-major builders
+    # vs the frozen row-by-row ones
+    t_new = _time(_path_round(minimal_paths, valiant_paths, top, milc_flows), reps=10, memo=False)
+    t_seed = _time(
+        _path_round(ref_paths.minimal_paths, ref_paths.valiant_paths, top, milc_flows),
+        reps=10, memo=False,
+    )
+    measured["path_build_theta"] = {
         "optimized_seconds": t_new,
         "seed_seconds": t_seed,
         "speedup": t_seed / t_new,

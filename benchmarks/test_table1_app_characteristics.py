@@ -5,13 +5,9 @@ point-to-point/collective character, % of MPI in total time, and the
 top-3 MPI interfaces by time.
 """
 
-import numpy as np
-
-from _harness import fmt_table, report, theta_top
+from _harness import fmt_table, report
 from repro.apps import PRODUCTION_APPS
-from repro.core.experiment import run_app_once
-from repro.mpi.env import RoutingEnv
-from repro.util import derive_rng, fmt_bytes
+from repro.util import fmt_bytes
 
 #: the paper's Table I (256-node runs)
 PAPER = {

@@ -16,8 +16,6 @@ Rayleigh        653.1 ± 16.6   651.7 ± 12.8   +0.2    0
 ==============  =============  =============  ======  =========
 """
 
-import numpy as np
-
 from _harness import cached_campaign, fmt_table, n_samples, report
 from repro.apps import MILC, PRODUCTION_APPS
 from repro.core.analysis import improvement_table

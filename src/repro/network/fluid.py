@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,7 @@ from repro.network.congestion import (
 from repro.network.counters import CounterBank
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.paths import PathBundle
+from repro.topology.paths import MAX_HOPS, PathBundle
 from repro.topology.pathcache import cached_minimal_paths, cached_valiant_paths
 
 
@@ -101,6 +100,8 @@ class FlowSet:
             raise ValueError("FlowSet contains self-flows")
         if n and np.any(self.nbytes < 0):
             raise ValueError("FlowSet contains negative byte counts")
+        if n and np.any(self.cls < 0):
+            raise ValueError("FlowSet contains negative traffic classes")
 
     @property
     def n(self) -> int:
@@ -224,7 +225,9 @@ class FluidResult:
             )
 
 
-def _visible_links(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _visible_links(
+    cols: np.ndarray, valid: np.ndarray, live: np.ndarray, repcnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first two router-output links of each sub-path.
 
     Aries routing decisions use *local* load estimates: the source
@@ -235,31 +238,29 @@ def _visible_links(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     comparison (AD0) wanders onto non-minimal routes that turn out to be
     congested downstream (the paper's core observation).
 
-    Returns ``(link1, has1, link2, has2)``; injection (column 0) and
-    ejection (last column) are excluded.
+    Returns ``(link1, has1, link2, has2)`` (link ``0`` where absent);
+    injection (column 0) and ejection (last column) are excluded.  One
+    right-to-left scan over the live body columns: every valid entry
+    moves the current first link to second place.
     """
-    body = links[:, 1:-1]
-    valid = body >= 0
-    rows = np.arange(body.shape[0])
-    i1 = np.argmax(valid, axis=1)
-    has1 = valid.any(axis=1)
-    l1 = np.where(has1, body[rows, i1], 0)
-    valid2 = valid.copy()
-    valid2[rows, i1] = False
-    i2 = np.argmax(valid2, axis=1)
-    has2 = valid2.any(axis=1)
-    l2 = np.where(has2, body[rows, i2], 0)
-    return l1, has1, l2, has2
+    l1 = np.zeros(cols.shape[1], dtype=cols.dtype)
+    l2 = np.zeros(cols.shape[1], dtype=cols.dtype)
+    for j in live[::-1]:
+        if 0 < j < MAX_HOPS - 1:
+            np.copyto(l2, l1, where=valid[j])
+            np.copyto(l1, cols[j], where=valid[j])
+    # repcnt counts the always-valid injection and ejection too
+    return l1, repcnt >= 3, l2, repcnt >= 4
 
 
 class _BundleAux:
-    """Precomputed gather/scatter geometry for one frozen path bundle.
+    """Gather/scatter geometry of one path bundle, read from its
+    column-major table (:attr:`PathBundle.cols`).
 
-    Cached on the bundle instance, keyed by the (n_flows, n_links) pair
-    it was built for.  Only inside a ``path_memo()`` scope
-    (:mod:`repro.topology.pathcache`) is a bundle handed out again, so
-    only there do repeated solves over the same flow set reuse this
-    setup instead of re-deriving masks and scatter indices.
+    Built by the solver on first use and cached on the bundle.  Only
+    inside a ``path_memo()`` scope (:mod:`repro.topology.pathcache`) is
+    a bundle handed out again, so only there do repeated solves over the
+    same flow set reuse it.
     """
 
     __slots__ = (
@@ -268,78 +269,106 @@ class _BundleAux:
         "k",
         "uniform",
         "flow",
-        "safe_ext_T",
-        "idx_flat",
+        "live",
+        "safe",
         "repcnt",
-        "cnt",
         "w0",
         "hops",
         "visible",
-        "pair",
-        "__weakref__",
     )
 
     def __init__(self, bundle: PathBundle, n_flows: int, n_links: int) -> None:
-        links = bundle.links
-        valid = links >= 0
+        cols = bundle.cols
+        valid = cols >= 0
         self.n_links = n_links
         self.n_flows = n_flows
         self.flow = bundle.flow
         # paths.py builds flow-major bundles with a uniform candidate
         # count per flow (flow == repeat(arange(n), k_eff)), which lets
         # the per-flow reductions below run as cheap reshapes
-        self.k = links.shape[0] // n_flows if n_flows else 0
-        self.uniform = self.k > 0 and self.k * n_flows == links.shape[0]
-        # sentinel gather index: invalid slots read vals_ext[n_links],
-        # which every caller pins to 0.0
-        self.safe_ext_T = np.ascontiguousarray(np.where(valid, links, n_links).T)
-        # flat scatter geometry over the valid entries, in C (row-major)
-        # order — the same order a boolean-mask extraction enumerates
-        self.idx_flat = links[valid]
+        self.k = cols.shape[1] // n_flows if n_flows else 0
+        self.uniform = self.k > 0 and self.k * n_flows == cols.shape[1]
+        # path columns some sub-path uses (pristine minimal bundles never
+        # reach columns 6-8); the per-path reductions skip the rest
+        self.live = np.flatnonzero(valid.any(axis=1))
+        # sentinel gather index over the live columns: invalid slots
+        # (-1, i.e. the largest uint64) read vals_ext[n_links], which
+        # every caller pins to 0.0
+        self.safe = cols[self.live]
+        np.minimum(self.safe.view(np.uint64), n_links, out=self.safe.view(np.uint64))
         # valid-entry count per sub-path: np.repeat over these counts
         # expands a per-sub-path weight to the flat valid-entry layout
-        self.repcnt = valid.sum(axis=1)
-        self.cnt = np.bincount(bundle.flow, minlength=n_flows).astype(np.float64)
+        self.repcnt = valid.sum(axis=0)
+        cnt = np.bincount(bundle.flow, minlength=n_flows)
         # uniform initial within-side weight of every sub-path
-        self.w0 = (1.0 / np.maximum(self.cnt, 1.0))[bundle.flow]
-        self.hops = bundle.router_hops.astype(np.float64)
-        self.visible = _visible_links(links)
-        # scratch shared with a partner bundle's aux, built lazily by
-        # solve_fluid (concatenated scatter indices + weight buffers)
-        self.pair = None
+        self.w0 = (1.0 / np.maximum(cnt, 1.0))[bundle.flow]
+        # injection and ejection are always valid: the rest are router hops
+        self.hops = (self.repcnt - 2).astype(np.float64)
+        self.visible = _visible_links(cols, valid, self.live, self.repcnt)
+
+    def link_ids(self, out: np.ndarray) -> None:
+        """Write the link ids of all valid path slots into ``out`` (of
+        size ``repcnt.sum()``) in row-major, sub-path by sub-path order:
+        the flat scatter layout of the load accumulation.
+
+        One scatter per live column, each sub-path's write position
+        advancing past its valid slots.  An invalid slot writes the
+        sentinel where the sub-path's next valid slot will land, so a
+        later column always overwrites it: the ejection column is live
+        and valid on every sub-path.
+        """
+        pos = np.cumsum(self.repcnt)
+        pos -= self.repcnt
+        for col in self.safe:
+            out[pos] = col
+            pos += col != self.n_links
 
 
 def _bundle_aux(bundle: PathBundle, n_flows: int, n_links: int) -> _BundleAux:
+    """The bundle's solver geometry (a bundle belongs to one flow set and
+    one topology, so the cached copy always fits)."""
     aux = getattr(bundle, "_solver_aux", None)
-    if aux is None or aux.n_links != n_links or aux.n_flows != n_flows:
-        aux = _BundleAux(bundle, n_flows, n_links)
-        bundle._solver_aux = aux
+    if aux is None:
+        aux = bundle._solver_aux = _BundleAux(bundle, n_flows, n_links)
     return aux
 
 
-def _masked_rowsum(vals_ext: np.ndarray, safe_ext_T: np.ndarray) -> np.ndarray:
+def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    # one node of the pairwise tree; a dead column is an exact 0.0 leaf,
+    # the identity for these non-negative sums, so it is left out
+    if a is None:
+        return b
+    if b is not None:
+        a += b
+    return a
+
+
+def _masked_rowsum(vals_ext: np.ndarray, aux: _BundleAux) -> np.ndarray:
     """``np.where(valid, vals[links], 0.0).sum(axis=1)`` without the mask.
 
-    Gathers through the sentinel-extended value table (``vals_ext[-1]``
-    must be 0.0) so invalid slots contribute exact zeros, then reduces in
-    numpy's own pairwise order for the fixed ``MAX_HOPS == 10`` row width
-    — byte-identical to the masked form and several times faster.
+    Gathers the live columns through the sentinel-extended value table
+    (``vals_ext[-1]`` must be 0.0) so invalid slots contribute exact
+    zeros, then reduces in numpy's own pairwise order for the fixed
+    ``MAX_HOPS == 10`` row width — byte-identical to the masked form and
+    several times faster.
     """
-    if safe_ext_T.shape[0] != 10:  # pragma: no cover - MAX_HOPS is fixed
-        return vals_ext[safe_ext_T.T].sum(axis=1)
-    c = vals_ext[safe_ext_T]
+    c = [None] * MAX_HOPS
+    for j, row in zip(aux.live, vals_ext.take(aux.safe)):
+        c[j] = row
     # numpy's pairwise reduction of a width-10 row: an 8-leaf balanced
     # tree followed by two sequential tail adds
-    s = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-    s += c[8]
-    s += c[9]
-    return s
+    s = _add(
+        _add(_add(c[0], c[1]), _add(c[2], c[3])),
+        _add(_add(c[4], c[5]), _add(c[6], c[7])),
+    )
+    return _add(_add(s, c[8]), c[9])
 
 
-def _masked_rowmax(vals_ext: np.ndarray, safe_ext_T: np.ndarray) -> np.ndarray:
+def _masked_rowmax(vals_ext: np.ndarray, aux: _BundleAux) -> np.ndarray:
     """``np.where(valid, vals[links], 0.0).max(axis=1)`` via sentinel
-    gathers (max is order-exact, so any reduction order matches)."""
-    return vals_ext[safe_ext_T].max(axis=0)
+    gathers over the live columns (max is order-exact, and a dead
+    column's 0.0 cannot raise a max of non-negative values)."""
+    return vals_ext.take(aux.safe).max(axis=0)
 
 
 def _group_min(values: np.ndarray, aux: _BundleAux) -> np.ndarray:
@@ -497,11 +526,15 @@ def solve_fluid(
     if max(flows.cls.max(), 0) >= len(modes):
         raise ValueError("flow class index out of range of modes list")
 
-    pmin = cached_minimal_paths(top, flows.src, flows.dst, k=params.k_min, rng=rng)
-    pnon = cached_valiant_paths(top, flows.src, flows.dst, k=params.k_nonmin, rng=rng)
+    # the solver reads only the bundles' geometry, so outside a memo
+    # scope each path table is freed as soon as its geometry is built
     n_links = top.n_links
-    aux_min = _bundle_aux(pmin, n, n_links)
-    aux_non = _bundle_aux(pnon, n, n_links)
+    aux_min = _bundle_aux(
+        cached_minimal_paths(top, flows.src, flows.dst, k=params.k_min, rng=rng), n, n_links
+    )
+    aux_non = _bundle_aux(
+        cached_valiant_paths(top, flows.src, flows.dst, k=params.k_nonmin, rng=rng), n, n_links
+    )
     hops_sub_min = aux_min.hops
     hops_sub_non = aux_non.hops
     # UGAL-style hop component of the load estimate: longer candidates
@@ -523,36 +556,34 @@ def solve_fluid(
     adaptive_temp = params.policy.adaptive_temp
     cap1 = np.maximum(cap, 1.0)
 
-    # Hoisted scatter geometry and scratch buffers, shared with every
-    # later solve over the same bundle pair.  One bincount over the
-    # concatenated (minimal ++ non-minimal) valid-entry link ids
-    # accumulates each bin in exactly the order two sequential
-    # ``np.add.at`` calls onto a zeroed array would, so the per-link
-    # loads are byte-identical to the scatter-add formulation.
-    ns1 = pmin.flow.size
-    pair = aux_min.pair
-    if pair is None or pair[0]() is not aux_non:
-        idx_cat = np.concatenate([aux_min.idx_flat, aux_non.idx_flat])
-        stall_idx_cat = np.concatenate([np.arange(n_links), idx_cat])
-        repcnt_cat = np.concatenate([aux_min.repcnt, aux_non.repcnt])
-        w_lvl = np.empty(ns1 + pnon.flow.size)
-        stall_w = np.empty(stall_idx_cat.size)
-        aux_min.pair = (
-            weakref.ref(aux_non),
-            idx_cat,
-            stall_idx_cat,
-            repcnt_cat,
-            w_lvl,
-            stall_w,
-        )
-    else:
-        _, idx_cat, stall_idx_cat, repcnt_cat, w_lvl, stall_w = pair
+    # One bincount over the concatenated (minimal ++ non-minimal)
+    # valid-entry link ids accumulates each bin in exactly the order two
+    # sequential ``np.add.at`` calls onto a zeroed array would, so the
+    # per-link loads are byte-identical to the scatter-add formulation.
+    # The final stall scatter prefixes the identity scatter of the
+    # existing stall counts.
+    ns1 = aux_min.flow.size
+    n_valid_min = int(aux_min.repcnt.sum())
+    stall_idx_cat = np.empty(n_links + n_valid_min + int(aux_non.repcnt.sum()), dtype=np.int64)
+    stall_idx_cat[:n_links] = np.arange(n_links)
+    idx_cat = stall_idx_cat[n_links:]
+    aux_min.link_ids(idx_cat[:n_valid_min])
+    aux_non.link_ids(idx_cat[n_valid_min:])
+    repcnt_cat = np.concatenate([aux_min.repcnt, aux_non.repcnt])
+    w_lvl = np.empty(ns1 + aux_non.flow.size)
     util_ext = np.empty(n_links + 1)
     util_ext[n_links] = 0.0  # sentinel read by invalid path slots
     u = util_ext[:n_links]
     denom = np.empty(n_links)
     nbx_min = np.empty(n)
     nbx_non = np.empty(n)
+
+    # each traffic class that has flows, with its flow mask
+    class_sel = []
+    for ci, mode in enumerate(modes):
+        sel = flows.cls == ci
+        if sel.any():
+            class_sel.append((mode, sel))
 
     residual = 0.0
     residual_mean = 0.0
@@ -565,8 +596,8 @@ def solve_fluid(
         np.multiply(flows.nbytes, x, out=nbx_min)
         np.subtract(1.0, x, out=nbx_non)
         np.multiply(flows.nbytes, nbx_non, out=nbx_non)
-        np.multiply(nbx_min[pmin.flow], w_sub_min, out=w_lvl[:ns1])
-        np.multiply(nbx_non[pnon.flow], w_sub_non, out=w_lvl[ns1:])
+        np.multiply(nbx_min[aux_min.flow], w_sub_min, out=w_lvl[:ns1])
+        np.multiply(nbx_non[aux_non.flow], w_sub_non, out=w_lvl[ns1:])
         load = np.bincount(
             idx_cat, weights=np.repeat(w_lvl, repcnt_cat), minlength=n_links
         )
@@ -587,9 +618,9 @@ def solve_fluid(
         #        weights: per-hop adaptivity lets every router on the way
         #        steer packets off its hot output tiles, so over the whole
         #        path the candidate set is effectively load-aware;
-        s_min_full = _masked_rowsum(util_ext, aux_min.safe_ext_T)
+        s_min_full = _masked_rowsum(util_ext, aux_min)
         s_min_full += bias_min
-        s_non_full = _masked_rowsum(util_ext, aux_non.safe_ext_T)
+        s_non_full = _masked_rowsum(util_ext, aux_non)
         s_non_full += bias_non
         w_sub_min = _softmin_weights(s_min_full, aux_min, adaptive_temp)
         w_sub_non = _softmin_weights(s_non_full, aux_non, adaptive_temp)
@@ -605,10 +636,8 @@ def solve_fluid(
 
         # 4. biased split per traffic class
         x_new = np.empty(n)
-        for ci, mode in enumerate(modes):
-            sel = flows.cls == ci
-            if sel.any():
-                x_new[sel] = split_fraction(mode, score_min[sel], score_non[sel], params.policy)
+        for mode, sel in class_sel:
+            x_new[sel] = split_fraction(mode, score_min[sel], score_non[sel], params.policy)
         x_prev = x
         x = params.damping * x + (1.0 - params.damping) * x_new
         dx = np.abs(x - x_prev)
@@ -642,8 +671,8 @@ def solve_fluid(
     # used* sub-path's bottleneck link drains; the flow when its slower
     # used side does.
     ext[:n_links] = t_link
-    t_sub_min = _masked_rowmax(ext, aux_min.safe_ext_T)
-    t_sub_non = _masked_rowmax(ext, aux_non.safe_ext_T)
+    t_sub_min = _masked_rowmax(ext, aux_min)
+    t_sub_non = _masked_rowmax(ext, aux_non)
     # sub-paths the adaptive weighting has suppressed carry few of the
     # flow's packets and do not gate its completion
     used_min_sub = w_sub_min > 0.15
@@ -656,27 +685,28 @@ def solve_fluid(
     base_lat_min = lm.base_latency(hops_sub_min)
     base_lat_non = lm.base_latency(hops_sub_non)
 
-    # per-packet latency: base + queueing along the path, weighted by the
-    # side split and the within-side weights
-    def _latency_at(qd_link: np.ndarray) -> np.ndarray:
+    # per-packet latency: base + queueing along each sub-path ...
+    def _sub_latency(qd_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ext[:n_links] = qd_link
-        qd_sub_min = _masked_rowsum(ext, aux_min.safe_ext_T)
-        qd_sub_non = _masked_rowsum(ext, aux_non.safe_ext_T)
-        lat_min = _group_sum((base_lat_min + qd_sub_min) * w_sub_min, aux_min)
-        lat_non = _group_sum((base_lat_non + qd_sub_non) * w_sub_non, aux_non)
+        return (
+            base_lat_min + _masked_rowsum(ext, aux_min),
+            base_lat_non + _masked_rowsum(ext, aux_non),
+        )
+
+    # ... weighted by the side split and the within-side weights
+    def _flow_latency(lat_sub_min: np.ndarray, lat_sub_non: np.ndarray) -> np.ndarray:
+        lat_min = _group_sum(lat_sub_min * w_sub_min, aux_min)
+        lat_non = _group_sum(lat_sub_non * w_sub_non, aux_non)
         return x * lat_min + (1.0 - x) * lat_non
 
-    flow_latency = _latency_at(cm.queue_delay(util, cap))
+    flow_latency = _flow_latency(*_sub_latency(cm.queue_delay(util, cap)))
     # latency against ambient (background) traffic only: what a message
     # experiences once the phase's own burst has drained around it
-    qd_link_amb = cm.queue_delay(bg, cap)
-    flow_latency_ambient = _latency_at(qd_link_amb)
+    lat_sub_min, lat_sub_non = _sub_latency(cm.queue_delay(bg, cap))
+    flow_latency_ambient = _flow_latency(lat_sub_min, lat_sub_non)
 
     # worst-packet latency: the slowest used sub-path of any used side —
     # what a globally synchronizing collective round actually waits for
-    ext[:n_links] = qd_link_amb
-    lat_sub_min = base_lat_min + _masked_rowsum(ext, aux_min.safe_ext_T)
-    lat_sub_non = base_lat_non + _masked_rowsum(ext, aux_non.safe_ext_T)
     lat_max_min = _group_max(lat_sub_min * (w_sub_min > 0.05), aux_min)
     lat_max_non = _group_max(lat_sub_non * (w_sub_non > 0.05), aux_non)
     # a side only contributes its worst path when it carries a meaningful
@@ -711,12 +741,13 @@ def solve_fluid(
     # + non-minimal extras in the seed's exact scatter-add order.
     coupling = cm.backpressure_inj_coupling
     ext[:n_links] = sr
-    sr_sub_min = _masked_rowmax(ext, aux_min.safe_ext_T)
-    sr_sub_non = _masked_rowmax(ext, aux_non.safe_ext_T)
-    w_min_final = (flows.nbytes * x)[pmin.flow] * w_sub_min
-    w_non_final = (flows.nbytes * (1.0 - x))[pnon.flow] * w_sub_non
+    sr_sub_min = _masked_rowmax(ext, aux_min)
+    sr_sub_non = _masked_rowmax(ext, aux_non)
+    w_min_final = (flows.nbytes * x)[aux_min.flow] * w_sub_min
+    w_non_final = (flows.nbytes * (1.0 - x))[aux_non.flow] * w_sub_non
     w_lvl[:ns1] = w_min_final / FLIT_BYTES * coupling * sr_sub_min
     w_lvl[ns1:] = w_non_final / FLIT_BYTES * coupling * sr_sub_non
+    stall_w = np.empty(stall_idx_cat.size)
     stall_w[:n_links] = link_stalls
     stall_w[n_links:] = np.repeat(w_lvl, repcnt_cat)
     link_stalls = np.bincount(stall_idx_cat, weights=stall_w, minlength=n_links)

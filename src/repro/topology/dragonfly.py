@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -305,6 +306,47 @@ class DragonflyTopology:
         """Global router index of the gateway in ``group_a`` for the cable."""
         gw_local = self.cable_gateway[group_a, group_b, cable]
         return np.asarray(group_a) * self.routers_per_group + gw_local
+
+    @cached_property
+    def local_routes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Intra-group route table ``(hop0, hop1, stride0, stride1)``.
+
+        Entry ``(a * routers_per_group + b) * 2 + rank1_first`` describes
+        the minimal route from local router ``a`` to local router ``b``
+        of one group: its ``j``-th link in group ``g`` is
+        ``hop_j + g * stride_j``, and ``-1`` (stride 0) where no hop is
+        needed.  ``rank1_first`` picks the dimension order of two-hop
+        routes (both are minimal on Aries).  Built on first use; O(routers
+        per group ** 2) and shared by fault views made afterwards.
+        """
+        p = self.params
+        C, R, Rg = p.chassis_per_group, p.routers_per_chassis, self.routers_per_group
+        a, b, r1_first = np.meshgrid(
+            np.arange(Rg), np.arange(Rg), np.array([False, True]), indexing="ij"
+        )
+        c1, s1 = np.divmod(a, R)
+        c2, s2 = np.divmod(b, R)
+        r1_row = self.rank1_link(0, c1, s1, s2)  # row move in the src chassis
+        r1_dst = self.rank1_link(0, c2, s1, s2)  # row move in the dst chassis
+        r2_src = self.rank2_link(0, s1, c1, c2)  # column move at the src slot
+        r2_dst = self.rank2_link(0, s2, c1, c2)  # column move at the dst slot
+        r1_stride, r2_stride = C * R * R, R * C * C  # per-group id offsets
+
+        same_chassis, same_slot = c1 == c2, s1 == s2
+        one_r1 = same_chassis & ~same_slot
+        one_r2 = same_slot & ~same_chassis
+        two = ~same_chassis & ~same_slot
+        hop0 = np.select(
+            [one_r1, one_r2, two & r1_first, two & ~r1_first],
+            [r1_row, r2_src, r1_row, r2_src],
+            -1,
+        )
+        hop1 = np.select([two & r1_first, two & ~r1_first], [r2_dst, r1_dst], -1)
+        stride0 = np.select(
+            [one_r1 | (two & r1_first), one_r2 | (two & ~r1_first)], [r1_stride, r2_stride], 0
+        )
+        stride1 = np.select([two & r1_first, two & ~r1_first], [r2_stride, r1_stride], 0)
+        return tuple(t.astype(np.int64).ravel() for t in (hop0, hop1, stride0, stride1))
 
     # ------------------------------------------------------------------
     # degraded operation

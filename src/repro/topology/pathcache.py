@@ -95,7 +95,7 @@ def _rng_state_digest(rng: np.random.Generator) -> str:
 
 
 def _freeze(bundle: PathBundle) -> PathBundle:
-    bundle.links.flags.writeable = False
+    bundle.cols.flags.writeable = False
     bundle.flow.flags.writeable = False
     return bundle
 

@@ -197,8 +197,11 @@ class FluidResult:
 
 def _side_arrays(bundle: PathBundle, n_flows: int):
     """Precompute gather/scatter helpers for one path bundle."""
-    valid = bundle.links >= 0
-    safe_links = np.where(valid, bundle.links, 0)
+    # the seed only ever saw C-ordered (row-major) path tables, and the
+    # float reductions over its rows below follow the memory layout
+    links = np.ascontiguousarray(bundle.links)
+    valid = links >= 0
+    safe_links = np.where(valid, links, 0)
     count = np.bincount(bundle.flow, minlength=n_flows).astype(np.float64)
     return valid, safe_links, count
 

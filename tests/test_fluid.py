@@ -29,6 +29,12 @@ class TestFlowSet:
         with pytest.raises(ValueError, match="negative"):
             FlowSet(np.array([1]), np.array([2]), np.array([-8.0]), np.array([0]))
 
+    def test_validation_negative_class(self):
+        # a class of -1 matches no routing mode, so the solver would leave
+        # that flow's split uninitialised
+        with pytest.raises(ValueError, match="negative traffic classes"):
+            FlowSet([0, 1, 2], [5, 9, 20], [1e5] * 3, [0, -1, 0])
+
     def test_empty(self):
         fl = FlowSet.empty()
         assert fl.n == 0

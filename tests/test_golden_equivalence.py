@@ -130,6 +130,25 @@ class TestFluidGolden:
         new, old = _fluid_pair(mini(), 48, seed=17, modes=[AD1], fixed_duration=2e-3)
         assert_fluid_identical(new, old)
 
+    # Theta scale: thousands of flows over 12 x 96 routers, where the
+    # column-major geometry and the dead-column skip of the per-path sums
+    # run at full width (pristine minimal bundles never use columns 6-8;
+    # a faulted view's repairs can)
+    def test_theta_mixed_classes_with_background(self, theta_top):
+        bg = np.random.default_rng(29).uniform(0.0, 0.6, theta_top.n_links)
+        new, old = _fluid_pair(
+            theta_top, 4096, seed=19, modes=[AD0, AD1, AD2, AD3], background=bg
+        )
+        assert_fluid_identical(new, old)
+
+    def test_theta_faulted(self, theta_top):
+        # the 0-1 bundle is cut whole, so minimal flows between those
+        # groups are repaired onto two-global-hop detours (columns 6-8)
+        cut = ";".join(f"cable:0-1:{c}" for c in range(12))
+        view = theta_top.with_faults(FaultSchedule.parse(f"rank3:0.1;{cut}", seed=5))
+        new, old = _fluid_pair(view, 4096, seed=23, modes=[AD0, AD3])
+        assert_fluid_identical(new, old)
+
     def test_empty_phase(self):
         top = mini()
         empty = FlowSet(
