@@ -2,13 +2,14 @@
 
 ``repro.chaos`` turns the platform's one-off kill tests into a
 systematic harness: named failpoints in every durability-critical code
-path (:mod:`~repro.chaos.failpoints`), seeded schedules that decide
-per-hit whether to error/tear/crash/delay (:mod:`~repro.chaos.
-schedule`), a single injectable I/O layer under the store/queue/
-checkpoint commit protocols (:mod:`~repro.chaos.fs`), and a soak
-runner executing real campaigns under a schedule while asserting the
-standing invariants (:mod:`~repro.chaos.runner` — imported lazily; it
-pulls in the campaign engine).  See ``docs/CHAOS.md``.
+path (:mod:`~repro.chaos.failpoints`), the commit-window ones fired
+from the one durable-write module every commit protocol shares
+(:mod:`repro.util.durable`); seeded schedules that decide per-hit
+whether to error/tear/crash/delay (:mod:`~repro.chaos.schedule`); and
+a soak runner executing real campaigns under a schedule while
+asserting the standing invariants (:mod:`~repro.chaos.runner` —
+imported lazily; it pulls in the campaign engine).  See
+``docs/CHAOS.md``.
 """
 
 from repro.chaos.failpoints import (
@@ -31,8 +32,9 @@ from repro.chaos.schedule import (
 )
 
 # NOTE: repro.chaos.runner is deliberately NOT imported here — it
-# depends on repro.core.experiment, which (via checkpoint -> chaos.fs)
-# imports this package; importing it at module level would be a cycle.
+# depends on repro.core.experiment, which (via checkpoint ->
+# util.durable -> chaos.failpoints) imports this package; importing it
+# at module level would be a cycle.
 
 __all__ = [
     "ACTIONS",

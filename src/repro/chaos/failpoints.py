@@ -50,6 +50,10 @@ SITES: dict[str, str] = {
         "checkpoint.append_record, before one record line is appended "
         "(torn appends are what repair_tail exists for)"
     ),
+    "checkpoint.rewrite": (
+        "checkpoint.rewrite (and so write_header), after the new file is "
+        "fsynced but before os.replace swaps it in (the old file survives)"
+    ),
     "queue.lease.claim": (
         "WorkQueue claim path, before the O_EXCL open that arbitrates a "
         "lease"

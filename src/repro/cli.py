@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import signal
 import sys
 import time
@@ -290,10 +289,8 @@ def _ensemble_lines(args, app, mode, faults, res) -> list[str]:
 
 
 def cmd_ensemble(args) -> int:
-    import uuid
-
-    from repro.chaos import fs as chaos_fs
     from repro.parallel import run_ensembles
+    from repro.util import durable
 
     top = _system(args.system)
     app = app_by_name(args.app)()
@@ -353,12 +350,9 @@ def cmd_ensemble(args) -> int:
         if ck is not None:
             # replaced atomically after every completed ensemble, so an
             # interrupt or a failed write leaves a resumable prefix
-            text = json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
-            tmp = ck.with_name(f".{ck.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-            try:
-                chaos_fs.write_text_atomic(ck, text, tmp)
-            finally:
-                tmp.unlink(missing_ok=True)
+            durable.write_atomic(
+                ck, json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
+            )
 
     run_ensembles(top, cfgs, jobs=_effective_jobs(args.workers), on_result=on_result)
     return 0

@@ -27,9 +27,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.chaos import fs as chaos_fs
 from repro.monitoring.autoperf import AutoPerfReport, MpiOpRecord
 from repro.network.counters import TILE_CLASSES, CounterSnapshot
+from repro.util import durable
 
 _KIND = "campaign-checkpoint"
 _VERSION = 1
@@ -166,15 +166,8 @@ def record_from_dict(d: dict[str, Any]) -> Any:
 
 
 def write_header(path: str | os.PathLike, fingerprint: dict[str, Any]) -> None:
-    """Start a fresh checkpoint file (truncates any existing one)."""
-    try:
-        with open(path, "w") as f:
-            f.write(
-                json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})
-                + "\n"
-            )
-    except OSError as exc:
-        raise StoreUnavailableError("checkpoint header", exc) from exc
+    """Start a fresh checkpoint file, atomically replacing any existing one."""
+    rewrite(path, fingerprint, [])
 
 
 def append_record(path: str | os.PathLike, rec: Any) -> None:
@@ -186,7 +179,7 @@ def append_record(path: str | os.PathLike, rec: Any) -> None:
     """
     line = json.dumps(record_to_dict(rec)) + "\n"
     try:
-        chaos_fs.append_line(path, line, site="checkpoint.append")
+        durable.append_line(path, line, site="checkpoint.append")
     except OSError as exc:
         raise StoreUnavailableError("checkpoint append", exc) from exc
 
@@ -232,28 +225,19 @@ def rewrite(
 ) -> None:
     """Atomically replace a checkpoint with header + the given records.
 
-    Used on ``--resume`` to drop error/superseded records: the new file
-    is built beside the old one and swapped in with ``os.replace``, so
-    a crash during the rewrite leaves the previous checkpoint intact.
+    Starts a fresh file (:func:`write_header`) and, on ``--resume``,
+    drops error/superseded records.  The new file is built beside the
+    old one and swapped in with ``os.replace``, so a crash or a failed
+    write leaves the previous checkpoint intact.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
+    lines = [json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})]
+    lines += [json.dumps(record_to_dict(rec)) for rec in records]
     try:
-        with open(tmp, "w") as f:
-            f.write(
-                json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})
-                + "\n"
-            )
-            for rec in records:
-                f.write(json.dumps(record_to_dict(rec)) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        durable.write_atomic(
+            path, "\n".join(lines) + "\n", pre_rename="checkpoint.rewrite"
+        )
     except OSError as exc:
         raise StoreUnavailableError("checkpoint rewrite", exc) from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def load_records(

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.chaos.failpoints import failpoint
+from repro.util import durable
 
 MANIFEST_NAME = "manifest.json"
 _KIND = "repro-dist-queue"
@@ -169,20 +170,6 @@ class QueueStatus:
         return self.total - self.done
 
 
-def _fsync_dir(path: Path) -> None:
-    """Best-effort directory fsync so renames survive power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 class WorkQueue:
     """One campaign's shared-directory queue (see the module docstring).
 
@@ -220,21 +207,10 @@ class WorkQueue:
     # ------------------------------------------------------------------
     def _write_json_atomic(self, path: Path, payload: dict, *, op: str) -> None:
         """tmp-write + fsync + rename: readers never see a torn file."""
-        tmp = self.tmp_dir / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
         try:
-            with open(tmp, "w") as f:
-                f.write(json.dumps(payload) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
+            durable.write_atomic(path, json.dumps(payload) + "\n", tmp_dir=self.tmp_dir)
         except OSError as exc:
             raise QueueUnavailable(op, exc) from exc
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def _read_json(self, path: Path) -> dict | None:
         """Parse one JSON file; None when absent or torn mid-write.
@@ -479,45 +455,29 @@ class WorkQueue:
         to ``os.replace`` (last-wins, but duplicates are byte-identical
         by construction so nothing observable changes).
         """
-        tmp = self.tmp_dir / f".{tid}.{os.getpid()}.{uuid.uuid4().hex[:8]}.json"
         final = self._result_path(tid)
         text = json.dumps(payload) + "\n"
+        op = "write result"
         try:
-            with open(tmp, "w") as f:
-                f.write(text)
-                f.flush()
-                failpoint("queue.commit.post_tmp", path=tmp, data=text)
-                os.fsync(f.fileno())
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise QueueUnavailable("write result", exc) from exc
-        try:
-            failpoint("queue.commit.link", path=final, data=text)
-            os.link(tmp, final)
-            won = True
-        except FileExistsError:
-            won = False
-        except OSError as exc:
-            if exc.errno not in (errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP):
+            with durable.staged(
+                text, tmp_dir=self.tmp_dir, name=final.name,
+                post_tmp="queue.commit.post_tmp",
+            ) as tmp:
+                op = "commit result"
+                failpoint("queue.commit.link", path=final, data=text)
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise QueueUnavailable("commit result", exc) from exc
-            won = not final.exists()
-            try:
-                os.replace(tmp, final)
-            except OSError as exc2:
-                raise QueueUnavailable("commit result", exc2) from exc2
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        _fsync_dir(self.results_dir)
+                    os.link(tmp, final)
+                    won = True
+                except FileExistsError:
+                    won = False
+                except OSError as exc:
+                    if exc.errno not in (errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP):
+                        raise
+                    won = not final.exists()
+                    os.replace(tmp, final)
+        except OSError as exc:
+            raise QueueUnavailable(op, exc) from exc
+        durable.fsync_dir(self.results_dir)
         return won
 
     def read_result(self, tid: str) -> dict | None:

@@ -13,12 +13,12 @@ failure into a crashed campaign — so :func:`write_bundle` returns
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections import deque
 from pathlib import Path
 
 from repro.telemetry.trace import TraceWriter
+from repro.util import durable
 
 #: bundle schema version, bumped on incompatible layout changes
 BUNDLE_VERSION = 1
@@ -61,8 +61,8 @@ def write_bundle(
 ) -> Path | None:
     """Atomically write one diagnostics bundle; returns its path.
 
-    The write goes through a temp file and ``os.replace`` so a crash
-    mid-write never leaves a torn bundle.  Any ``OSError`` (unwritable
+    The write goes through :func:`repro.util.durable.write_atomic` so a
+    crash mid-write never leaves a torn bundle.  Any ``OSError`` (unwritable
     directory, disk full) is swallowed and reported as ``None`` — the
     run's error record is the source of truth, the bundle is extra.
     """
@@ -81,13 +81,7 @@ def write_bundle(
             "events": events or [],
             "counters": counters or {},
         }
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w") as fh:
-            json.dump(payload, fh, indent=1, default=str)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        durable.write_atomic(path, json.dumps(payload, indent=1, default=str) + "\n")
         return path
     except OSError:
         return None

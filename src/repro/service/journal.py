@@ -3,7 +3,7 @@
 The journal closes the service's biggest single point of loss: before
 it, a restarted server had never heard of the campaigns it accepted.
 Every submitted job gets one JSON file under the journal directory,
-rewritten atomically (write-tmp → fsync → ``os.replace``) at each state
+rewritten atomically (:func:`repro.util.durable.write_atomic`) at each state
 transition, so an entry is always a complete snapshot of what the
 server last knew:
 
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from pathlib import Path
 
-from repro.chaos import fs as chaos_fs
+from repro.util import durable
 
 _KIND = "repro-job-journal"
 _VERSION = 1
@@ -75,20 +74,9 @@ class JobJournal:
             "submitted_at": submitted_at,
             "finished_at": finished_at,
         }
-        path = self._path(jid)
-        tmp = self.dir / f".{jid}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        try:
-            chaos_fs.write_text_atomic(
-                path,
-                json.dumps(entry) + "\n",
-                tmp,
-                post_tmp="service.journal.append",
-            )
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        durable.write_atomic(
+            self._path(jid), json.dumps(entry) + "\n", post_tmp="service.journal.append"
+        )
 
     def load(self) -> list[dict]:
         """Every readable entry, oldest submission first.

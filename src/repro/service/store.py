@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.chaos import fs as chaos_fs
 from repro.chaos.failpoints import failpoint
 from repro.core.checkpoint import StoreUnavailableError
+from repro.util import durable
 
 __all__ = ["CacheStats", "RunRecordStore", "StoreUnavailableError", "entry_key"]
 
@@ -144,13 +144,10 @@ class RunRecordStore:
         self.dedup_puts = 0
         self.evictions = 0
         self.quarantined = 0
-        # orphaned scratch from a previous SIGKILLed writer is garbage
-        # by construction (nothing visible references it)
-        for stale in self.tmp_dir.iterdir():
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+        # scratch orphaned by a SIGKILLed writer is garbage by
+        # construction (nothing visible references it); another live
+        # handle's in-flight commit is young, and spared
+        durable.sweep_scratch(self.tmp_dir)
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -247,22 +244,16 @@ class RunRecordStore:
             if path.exists():
                 self.dedup_puts += 1
                 return False
-            tmp = self.tmp_dir / f".{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
             try:
-                chaos_fs.write_text_atomic(
+                durable.write_atomic(
                     path,
                     json.dumps(entry) + "\n",
-                    tmp,
+                    tmp_dir=self.tmp_dir,
                     post_tmp="store.commit.post_tmp",
                     pre_rename="store.commit.pre_rename",
                 )
             except OSError as exc:
                 raise StoreUnavailableError("cache entry commit", exc) from exc
-            finally:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
             self.puts += 1
             self._evict_to_budget()
             return True

@@ -39,6 +39,7 @@ from repro.core.checkpoint import StoreUnavailableError
 from repro.core.experiment import (
     CampaignConfig,
     campaign_fingerprint,
+    prepare_checkpoint,
     run_campaign,
 )
 from repro.dist import (
@@ -202,7 +203,7 @@ class TestStrictNoOp:
     def test_store_entry_bytes_identical_with_chaos_off_and_unmatched(
         self, tmp_path
     ):
-        """Golden no-op: routing writes through the chaos fs shim must
+        """Golden no-op: routing writes through repro.util.durable must
         not change a single committed byte."""
         a = RunRecordStore(tmp_path / "a")
         a.put(FP, 0, "AD0", REC)
@@ -325,6 +326,56 @@ def _exercise_checkpoint_append(top, tmp_path):
     assert path.read_bytes() == good
 
 
+def _crash_in_checkpoint_rewrite(path, top, resume):
+    activate(ChaosSchedule.parse("checkpoint.rewrite:crash"))
+    prepare_checkpoint(path, top, _cfg(), resume)
+    os._exit(0)  # pragma: no cover - the failpoint must not return
+
+
+def _crash_child_leaves_checkpoint(path, top, resume):
+    """Kill a campaign start mid-rewrite; the old bytes must survive."""
+    good = path.read_bytes()
+    proc = multiprocessing.get_context("fork").Process(
+        target=_crash_in_checkpoint_rewrite, args=(str(path), top, resume)
+    )
+    proc.start()
+    proc.join(60)
+    assert proc.exitcode == CRASH_EXIT_CODE
+    assert path.read_bytes() == good
+    # the killed writer's fsynced scratch is hidden beside it, unread
+    leftover = [n for n in os.listdir(path.parent) if n != path.name]
+    assert all(n.startswith(f".{path.name}.") and n.endswith(".tmp") for n in leftover)
+
+
+def _exercise_checkpoint_rewrite(top, tmp_path):
+    path = tmp_path / "ck.jsonl"
+    run_campaign(top, _cfg(), checkpoint_path=str(path), jobs=1)
+    good = path.read_bytes()
+    with active(ChaosSchedule.parse("checkpoint.rewrite:enospc")):
+        with pytest.raises(StoreUnavailableError):
+            prepare_checkpoint(str(path), top, _cfg(), resume=True)
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == ["ck.jsonl"]  # the scratch was removed
+    _crash_child_leaves_checkpoint(path, top, resume=True)
+    # and a following --resume still completes to the same bytes
+    run_campaign(top, _cfg(), checkpoint_path=str(path), resume=True, jobs=1)
+    assert path.read_bytes() == good
+
+
+class TestCheckpointHeader:
+    def test_interrupted_header_write_keeps_the_previous_file(self, top, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        run_campaign(top, _cfg(), checkpoint_path=str(path), jobs=1)
+        good = path.read_bytes()
+        with active(ChaosSchedule.parse("checkpoint.rewrite:enospc")):
+            with pytest.raises(StoreUnavailableError):
+                ckpt.write_header(path, campaign_fingerprint(top, _cfg(seed=12)))
+        assert path.read_bytes() == good
+        _crash_child_leaves_checkpoint(path, top, resume=False)
+        run_campaign(top, _cfg(), checkpoint_path=str(path), resume=True, jobs=1)
+        assert path.read_bytes() == good
+
+
 def _exercise_queue_lease_claim(top, tmp_path):
     cfg = _cfg()
     q = WorkQueue(tmp_path / "q", ttl=300.0)
@@ -419,6 +470,7 @@ SITE_EXERCISES = {
     "store.commit.pre_rename": _exercise_store_commit_pre_rename,
     "store.get.read": _exercise_store_get_read,
     "checkpoint.append": _exercise_checkpoint_append,
+    "checkpoint.rewrite": _exercise_checkpoint_rewrite,
     "queue.lease.claim": _exercise_queue_lease_claim,
     "queue.lease.renew": _exercise_queue_lease_renew,
     "queue.commit.post_tmp": _exercise_queue_commit_post_tmp,

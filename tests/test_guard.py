@@ -16,6 +16,7 @@ The contracts under test:
   (fingerprint, RNG key, trailing events) to replay it.
 """
 
+import errno
 import json
 import os
 import signal
@@ -516,6 +517,14 @@ class TestBundles:
             write_bundle("/proc/definitely/not/writable", label="x", reason={})
             is None
         )
+
+    def test_failed_fsync_returns_none_and_leaves_no_scratch(self, tmp_path, monkeypatch):
+        def enospc(_fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", enospc)
+        assert write_bundle(tmp_path, label="MILC-AD0-s0", reason={}) is None
+        assert os.listdir(tmp_path) == []
 
     def test_ring_writer_keeps_tail(self):
         ring = RingTraceWriter(maxlen=3)

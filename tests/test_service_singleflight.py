@@ -222,6 +222,7 @@ class TestCrashAtomicity:
         fp = {"app": "milc", "seed": 1}
         # a SIGKILL mid-tmp-write leaves scratch that no reader sees
         (store.tmp_dir / ".abc.999.dead").write_bytes(b'{"kind": "repro-run')
+        os.utime(store.tmp_dir / ".abc.999.dead", (0, 0))
         assert store.get(fp, 0, "AD0") is None
         assert store.stats().entries == 0
         # and a fresh store instance reaps it

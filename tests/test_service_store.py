@@ -15,12 +15,16 @@ Three contracts under test:
 """
 
 import json
+import os
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosSchedule, active
 from repro.service.store import KEY_LEN, RunRecordStore, entry_key
 
 MODES = st.sampled_from(["AD0", "AD1", "AD2", "AD3"])
@@ -155,8 +159,30 @@ class TestQuarantine:
     def test_stale_tmp_scratch_is_cleared_on_init(self, tmp_path):
         store = RunRecordStore(tmp_path / "c")
         (store.tmp_dir / ".orphan.123.abc").write_bytes(b"torn")
+        os.utime(store.tmp_dir / ".orphan.123.abc", (0, 0))
         again = RunRecordStore(tmp_path / "c")
         assert not list(again.tmp_dir.iterdir())
+
+    def test_opening_a_store_spares_a_live_writers_scratch(self, tmp_path):
+        """A second handle (another process, ``repro cache-status``)
+        opened mid-put must not delete the in-flight commit's scratch."""
+        store = RunRecordStore(tmp_path / "c")
+        outcome = []
+        # the latency widens the window between staging and the rename
+        with active(ChaosSchedule.parse("store.commit.pre_rename:latency:ms=500")):
+            writer = threading.Thread(
+                target=lambda: outcome.append(store.put(self.FP, 0, "AD0", self.REC))
+            )
+            writer.start()
+            deadline = time.monotonic() + 10
+            while not os.listdir(store.tmp_dir) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert os.listdir(store.tmp_dir), "the put never staged its scratch"
+            RunRecordStore(tmp_path / "c")
+            writer.join(30)
+        assert not writer.is_alive()
+        assert outcome == [True]
+        assert RunRecordStore(tmp_path / "c").get(self.FP, 0, "AD0") == self.REC
 
 
 class TestEviction:

@@ -1,8 +1,14 @@
-"""Unit tests for repro.util (units, rng derivation, validation)."""
+"""Unit tests for repro.util (units, rng derivation, validation, durable writes)."""
+
+import errno
+import os
+import stat
+import time
 
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosSchedule, activate, deactivate
 from repro.util import (
     GB,
     GiB,
@@ -21,6 +27,7 @@ from repro.util import (
     fmt_time,
     spawn_rngs,
 )
+from repro.util import durable
 
 
 class TestUnits:
@@ -133,3 +140,89 @@ class TestValidation:
     def test_check_power_of_two_raises(self, bad):
         with pytest.raises(ValueError):
             check_power_of_two("x", bad)
+
+
+def _raise_eio(*_args, **_kwargs):
+    raise OSError(errno.EIO, "injected I/O error")
+
+
+def _open_failing_writes(file, mode="r", *args, **kwargs):
+    f = open(file, mode, *args, **kwargs)
+    f.write = _raise_eio
+    return f
+
+
+#: one failure per step of write_atomic, in protocol order
+_DURABLE_FAILURES = {
+    "write": lambda mp: mp.setattr(durable, "open", _open_failing_writes, raising=False),
+    "post_tmp": lambda mp: activate(ChaosSchedule.parse("store.commit.post_tmp:torn")),
+    "fsync": lambda mp: mp.setattr(os, "fsync", _raise_eio),
+    "pre_rename": lambda mp: activate(ChaosSchedule.parse("store.commit.pre_rename:enospc")),
+    "replace": lambda mp: mp.setattr(os, "replace", _raise_eio),
+}
+
+
+class TestDurable:
+    @pytest.fixture(autouse=True)
+    def _no_leftover_schedule(self):
+        deactivate()
+        yield
+        deactivate()
+
+    def _write(self, tmp_path):
+        target, scratch = tmp_path / "out.json", tmp_path / "scratch"
+        scratch.mkdir(exist_ok=True)
+        durable.write_atomic(
+            target, "new\n", tmp_dir=scratch,
+            post_tmp="store.commit.post_tmp", pre_rename="store.commit.pre_rename",
+        )
+        return target, scratch
+
+    def test_write_atomic_publishes_and_leaves_no_scratch(self, tmp_path):
+        (tmp_path / "out.json").write_text("old\n")
+        target, scratch = self._write(tmp_path)
+        assert target.read_text() == "new\n"
+        assert os.listdir(scratch) == []
+
+    def test_write_atomic_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        real_fsync, kinds = os.fsync, []
+
+        def spy(fd):
+            kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        durable.write_atomic(tmp_path / "a.json", "x\n")
+        assert kinds == ["file", "dir"]
+        assert os.listdir(tmp_path) == ["a.json"]  # default scratch: beside, then gone
+
+    @pytest.mark.parametrize("step", list(_DURABLE_FAILURES))
+    def test_failure_at_any_step_keeps_target_and_cleans_scratch(
+        self, step, tmp_path, monkeypatch
+    ):
+        (tmp_path / "out.json").write_text("old\n")
+        _DURABLE_FAILURES[step](monkeypatch)
+        with pytest.raises(OSError):
+            self._write(tmp_path)
+        assert (tmp_path / "out.json").read_text() == "old\n"
+        assert os.listdir(tmp_path / "scratch") == []
+
+    def test_staged_yields_fsynced_scratch_and_always_unlinks_it(self, tmp_path):
+        with durable.staged("payload", tmp_dir=tmp_path, name="r.json") as tmp:
+            assert tmp.read_text() == "payload"
+            assert tmp.name.startswith(".r.json.") and tmp.name.endswith(".tmp")
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(RuntimeError):
+            with durable.staged("payload", tmp_dir=tmp_path, name="r.json"):
+                raise RuntimeError("publish failed")
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_scratch_spares_young_scratch(self, tmp_path):
+        old, young = tmp_path / ".dead.1.aa.tmp", tmp_path / ".live.2.bb.tmp"
+        old.write_text("torn")
+        young.write_text("in flight")
+        stamp = time.time() - 2 * durable.SCRATCH_MAX_AGE_S
+        os.utime(old, (stamp, stamp))
+        durable.sweep_scratch(tmp_path)
+        assert os.listdir(tmp_path) == [young.name]
+        durable.sweep_scratch(tmp_path / "missing")  # no directory: a no-op
