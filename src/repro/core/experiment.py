@@ -439,24 +439,58 @@ def _error_record(
     )
 
 
+def sample_slot(
+    top: DragonflyTopology,
+    cfg: CampaignConfig,
+    i: int,
+    pool_size: int | None = None,
+) -> tuple[np.random.Generator, np.ndarray, int | None]:
+    """Sample ``i``'s stream, placement, and the pool slot it reads.
+
+    The one rule for which background scenario a sample selects: a pure
+    function of ``(top, cfg, i)`` (``pool_size`` defaults to
+    ``cfg.scenario_pool``; a caller-supplied pool passes its own
+    length).  The slot is ``None`` for an isolated campaign.  The stream
+    is returned positioned after the slot draw, for the draws that
+    follow it in :func:`sample_draws`.
+    """
+    sample_rng = derive_rng(cfg.seed, cfg.app.name, cfg.n_nodes, cfg.placement, i)
+    nodes = make_placement(cfg.placement, top, cfg.n_nodes, sample_rng)
+    slot = None
+    if cfg.background == "production":
+        size = cfg.scenario_pool if pool_size is None else pool_size
+        slot = int(sample_rng.integers(0, size))
+    return sample_rng, nodes, slot
+
+
+def drawn_slots(top: DragonflyTopology, cfg: CampaignConfig) -> set[int]:
+    """The pool slots the campaign's ``cfg.samples`` samples read."""
+    return {sample_slot(top, cfg, i)[2] for i in range(cfg.samples)}
+
+
 def resolve_scenarios(
     top: DragonflyTopology,
     cfg: CampaignConfig,
     background_model: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
-) -> tuple[BackgroundModel | None, list[BackgroundScenario] | None]:
+    scenarios: list[BackgroundScenario | None] | None,
+) -> tuple[BackgroundModel | None, list[BackgroundScenario | None] | None]:
     """The ``(model, scenario pool)`` a campaign samples its background from.
 
     Pure function of ``(top, cfg)`` when no explicit model/pool is given
-    (the pool RNG is derived from the campaign seed), so a worker process
-    can rebuild the identical pool from the config alone.
+    (the pool RNG is derived from the campaign seed, and only the slots
+    in :func:`drawn_slots` are solved), so a worker process can rebuild
+    the identical pool from the config alone.  The other slots are
+    ``None``.  An explicit pool is used as given.
     """
     if cfg.background == "production":
         bm = background_model or BackgroundModel(top)
         if scenarios is None:
             pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
             scenarios = bm.build_pool(
-                cfg.scenario_pool, pool_rng, reserve_nodes=cfg.n_nodes
+                cfg.scenario_pool,
+                pool_rng,
+                reserve_nodes=cfg.n_nodes,
+                solve=drawn_slots(top, cfg),
             )
         return bm, scenarios
     if cfg.background != "isolated":
@@ -469,18 +503,24 @@ def sample_draws(
     cfg: CampaignConfig,
     i: int,
     bm: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
+    scenarios: list[BackgroundScenario | None] | None,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Per-sample shared draws (paired across modes): placement, background.
 
     The sample stream is derived fresh from ``(seed, app, size,
     placement, i)`` on every call, so any process can reproduce sample
-    ``i``'s context without replaying samples ``0..i-1``.
+    ``i``'s context without replaying samples ``0..i-1``.  Raises
+    ``ValueError`` if the sample reads a pool slot that was not solved.
     """
-    sample_rng = derive_rng(cfg.seed, cfg.app.name, cfg.n_nodes, cfg.placement, i)
-    nodes = make_placement(cfg.placement, top, cfg.n_nodes, sample_rng)
+    pool_size = len(scenarios) if scenarios is not None else None
+    sample_rng, nodes, slot = sample_slot(top, cfg, i, pool_size)
     if cfg.background == "production":
-        scenario = scenarios[int(sample_rng.integers(0, len(scenarios)))]
+        scenario = scenarios[slot]
+        if scenario is None:
+            raise ValueError(
+                f"sample {i} reads background scenario {slot}, which this "
+                f"campaign's pool did not solve"
+            )
         intensity = bm.sample_intensity(sample_rng)
         bg = mask_endpoint_background(top, scenario.at_intensity(intensity), nodes)
     else:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,34 +226,6 @@ class FluidResult:
             )
 
 
-def _visible_links(
-    cols: np.ndarray, valid: np.ndarray, live: np.ndarray, repcnt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first two router-output links of each sub-path.
-
-    Aries routing decisions use *local* load estimates: the source
-    router's output-tile queues (and, through credit backpressure, a
-    shadow of the next hop) — not the whole path.  The decision scores
-    therefore see only these links; distant congestion on a candidate is
-    invisible at decision time, which is precisely why an unbiased
-    comparison (AD0) wanders onto non-minimal routes that turn out to be
-    congested downstream (the paper's core observation).
-
-    Returns ``(link1, has1, link2, has2)`` (link ``0`` where absent);
-    injection (column 0) and ejection (last column) are excluded.  One
-    right-to-left scan over the live body columns: every valid entry
-    moves the current first link to second place.
-    """
-    l1 = np.zeros(cols.shape[1], dtype=cols.dtype)
-    l2 = np.zeros(cols.shape[1], dtype=cols.dtype)
-    for j in live[::-1]:
-        if 0 < j < MAX_HOPS - 1:
-            np.copyto(l2, l1, where=valid[j])
-            np.copyto(l1, cols[j], where=valid[j])
-    # repcnt counts the always-valid injection and ejection too
-    return l1, repcnt >= 3, l2, repcnt >= 4
-
-
 class _BundleAux:
     """Gather/scatter geometry of one path bundle, read from its
     column-major table (:attr:`PathBundle.cols`).
@@ -304,12 +277,26 @@ class _BundleAux:
         self.w0 = (1.0 / np.maximum(cnt, 1.0))[bundle.flow]
         # injection and ejection are always valid: the rest are router hops
         self.hops = (self.repcnt - 2).astype(np.float64)
-        self.visible = _visible_links(cols, valid, self.live, self.repcnt)
+        # the first two router-output links of each sub-path, as
+        # ``(link1, has1, link2, has2)`` (link 0 where absent); the links
+        # are filled in by :meth:`link_ids`.  Aries routing decisions use
+        # *local* load estimates: the source router's output-tile queues
+        # (and, through credit backpressure, a shadow of the next hop) —
+        # not the whole path.  The decision scores therefore see only
+        # these links; distant congestion on a candidate is invisible at
+        # decision time, which is precisely why an unbiased comparison
+        # (AD0) wanders onto non-minimal routes that turn out to be
+        # congested downstream (the paper's core observation).
+        self.visible = (
+            np.empty_like(self.repcnt), self.repcnt >= 3,
+            np.empty_like(self.repcnt), self.repcnt >= 4,
+        )
 
     def link_ids(self, out: np.ndarray) -> None:
         """Write the link ids of all valid path slots into ``out`` (of
         size ``repcnt.sum()``) in row-major, sub-path by sub-path order:
-        the flat scatter layout of the load accumulation.
+        the flat scatter layout of the load accumulation.  Then read
+        :attr:`visible` from it.
 
         One scatter per live column, each sub-path's write position
         advancing past its valid slots.  An invalid slot writes the
@@ -322,6 +309,19 @@ class _BundleAux:
         for col in self.safe:
             out[pos] = col
             pos += col != self.n_links
+        # a sub-path's entries are its injection, its router hops in path
+        # order, then its ejection: the hops are at start + 1 and start + 2
+        # when it has three or four entries.  Every sub-path has at least
+        # two, so only the second hop's index can run past the end
+        # (masked out by has2).
+        l1, has1, l2, has2 = self.visible
+        pos -= self.repcnt
+        pos += 1
+        out.take(pos, out=l1, mode="clip")
+        l1 *= has1
+        pos += 1
+        out.take(pos, out=l2, mode="clip")
+        l2 *= has2
 
 
 def _bundle_aux(bundle: PathBundle, n_flows: int, n_links: int) -> _BundleAux:
@@ -445,6 +445,25 @@ def _softmin_weights(scores: np.ndarray, aux: _BundleAux, temp: float) -> np.nda
     return e / denom[aux.flow]
 
 
+def sample_paths(
+    top: DragonflyTopology,
+    flows: FlowSet,
+    params: FluidParams,
+    rng: np.random.Generator,
+) -> Iterator[PathBundle]:
+    """Draw the candidate paths of ``flows``: the solver's only use of ``rng``.
+
+    Yields the minimal bundle, then the Valiant one, each drawn only
+    when the caller asks for it, so the solver can free one path table
+    before the next is built.  An empty flow set draws nothing.  A caller
+    that needs only the stream's post-state (a background scenario that
+    is never read) exhausts it and drops the bundles.
+    """
+    if flows.n:
+        yield cached_minimal_paths(top, flows.src, flows.dst, k=params.k_min, rng=rng)
+        yield cached_valiant_paths(top, flows.src, flows.dst, k=params.k_nonmin, rng=rng)
+
+
 def solve_fluid(
     top: DragonflyTopology,
     flows: FlowSet,
@@ -480,7 +499,7 @@ def solve_fluid(
         ``fixed_duration`` is set.  Link drain times (and therefore flow
         completion times) are unaffected.
     rng:
-        Drives path sampling only.
+        Drives path sampling only (:func:`sample_paths`).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; defaults to the
         ambient handle (a null sink unless the CLI installed one).
@@ -529,12 +548,9 @@ def solve_fluid(
     # the solver reads only the bundles' geometry, so outside a memo
     # scope each path table is freed as soon as its geometry is built
     n_links = top.n_links
-    aux_min = _bundle_aux(
-        cached_minimal_paths(top, flows.src, flows.dst, k=params.k_min, rng=rng), n, n_links
-    )
-    aux_non = _bundle_aux(
-        cached_valiant_paths(top, flows.src, flows.dst, k=params.k_nonmin, rng=rng), n, n_links
-    )
+    paths = sample_paths(top, flows, params, rng)
+    aux_min = _bundle_aux(next(paths), n, n_links)
+    aux_non = _bundle_aux(next(paths), n, n_links)
     hops_sub_min = aux_min.hops
     hops_sub_non = aux_non.hops
     # UGAL-style hop component of the load estimate: longer candidates
@@ -542,10 +558,6 @@ def solve_fluid(
     # biased mode prefers minimal while AD0 stays close to indifferent.
     bias_min = params.policy.hop_bias * hops_sub_min
     bias_non = params.policy.hop_bias * hops_sub_non
-    # local visibility window of the routing decision (see _visible_links)
-    m1_l, m1_h, m2_l, m2_h = aux_min.visible
-    n1_l, n1_h, n2_l, n2_h = aux_non.visible
-
     x = np.full(n, 0.75)  # initial lean toward minimal (zero-load preference)
     w_sub_min = aux_min.w0  # rebound to fresh arrays every iteration
     w_sub_non = aux_non.w0
@@ -569,6 +581,9 @@ def solve_fluid(
     idx_cat = stall_idx_cat[n_links:]
     aux_min.link_ids(idx_cat[:n_valid_min])
     aux_non.link_ids(idx_cat[n_valid_min:])
+    # local visibility window of the routing decision (see _BundleAux)
+    m1_l, m1_h, m2_l, m2_h = aux_min.visible
+    n1_l, n1_h, n2_l, n2_h = aux_non.visible
     repcnt_cat = np.concatenate([aux_min.repcnt, aux_non.repcnt])
     w_lvl = np.empty(ns1 + aux_non.flow.size)
     util_ext = np.empty(n_links + 1)

@@ -21,13 +21,15 @@ months" enters the simulation.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.mpi.collectives import alltoall_flows, allreduce_flows
 from repro.mpi.env import RoutingEnv
-from repro.network.fluid import FlowSet, FluidParams, solve_fluid
+from repro.network.fluid import FlowSet, FluidParams, sample_paths, solve_fluid
 from repro.scheduler.jobs import Job
 from repro.scheduler.placement import FreeNodePool, production_placement
 from repro.scheduler.workload import WorkloadModel
@@ -141,8 +143,15 @@ class BackgroundModel:
         rng: np.random.Generator,
         *,
         reserve_nodes: int = 0,
-    ) -> BackgroundScenario:
-        """Sample a job mix, place it, and solve for the utilization field."""
+        solve: bool = True,
+    ) -> BackgroundScenario | None:
+        """Sample a job mix, place it, and solve for the utilization field.
+
+        With ``solve=False`` the solve is skipped and ``None`` returned,
+        but ``rng`` still advances exactly as a solve would advance it
+        (through :func:`~repro.network.fluid.sample_paths`, the solver's
+        only use of it), so later scenarios drawn from it are unchanged.
+        """
         jobs = self.workload.sample_active_jobs(
             rng, target_fill=self.target_fill, reserve_nodes=reserve_nodes
         )
@@ -163,6 +172,10 @@ class BackgroundModel:
             placed += job.n_nodes
         flows = FlowSet.concat(p2p_parts + a2a_parts)
         params = FluidParams(k_min=2, k_nonmin=2, n_iter=4)
+        if not solve:
+            # draw (and drop) the solve's paths: its only use of rng
+            deque(sample_paths(self.top, flows, params, rng), maxlen=0)
+            return None
         res = solve_fluid(
             self.top,
             flows,
@@ -184,11 +197,22 @@ class BackgroundModel:
         rng: np.random.Generator,
         *,
         reserve_nodes: int = 0,
-    ) -> list[BackgroundScenario]:
-        """Pre-build a pool of scenarios for campaign sampling."""
+        solve: Collection[int] | None = None,
+    ) -> list[BackgroundScenario | None]:
+        """Pre-build a pool of scenarios for campaign sampling.
+
+        ``solve`` names the slots to solve (default: all); every other
+        slot is ``None``.  Each slot draws from ``rng`` in order whether
+        solved or not, so a solved slot holds the same scenario as in
+        the full pool.
+        """
         return [
-            self.build_scenario(rng, reserve_nodes=reserve_nodes)
-            for _ in range(n_scenarios)
+            self.build_scenario(
+                rng,
+                reserve_nodes=reserve_nodes,
+                solve=solve is None or slot in solve,
+            )
+            for slot in range(n_scenarios)
         ]
 
     def sample_intensity(self, rng: np.random.Generator) -> float:

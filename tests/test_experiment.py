@@ -6,15 +6,20 @@ import pytest
 from repro.apps import MILC, LatencyBound
 from repro.core.biases import AD0, AD3
 from repro.core.experiment import (
+    CampaignBackground,
     CampaignConfig,
+    drawn_slots,
     mask_endpoint_background,
     resolve_phase,
     run_app_once,
     run_campaign,
     runtimes_by_mode,
+    sample_draws,
+    sample_slot,
     stats_by_mode,
 )
 from repro.mpi.env import RoutingEnv
+from repro.scheduler.background import BackgroundModel
 from repro.util import derive_rng
 
 
@@ -169,3 +174,46 @@ class TestCampaign:
         )
         recs = run_campaign(theta_top, cfg)
         assert len(recs) == 1
+
+
+class TestDrawnPool:
+    """A campaign's own pool solves only the slots its samples read."""
+
+    @staticmethod
+    def _cfg(**kw):
+        return CampaignConfig(
+            app=MILC(), n_nodes=32, modes=(AD0, AD3), seed=11, scenario_pool=3, **kw
+        )
+
+    def test_only_drawn_slots_are_solved(self, mini_top):
+        cfg = self._cfg(samples=2)
+        assert [sample_slot(mini_top, cfg, i)[2] for i in range(3)] == [1, 2, 0]
+        assert drawn_slots(mini_top, cfg) == {1, 2}
+        bg = CampaignBackground(mini_top, cfg)
+        bg.build()
+        assert [sc is not None for sc in bg.scenarios] == [False, True, True]
+
+    def test_reading_an_unsolved_slot_fails_loudly(self, mini_top):
+        cfg = self._cfg(samples=2)
+        bg = CampaignBackground(mini_top, cfg)
+        bg.build()
+        # sample 2 is outside the campaign and reads slot 0, never solved
+        with pytest.raises(ValueError, match="sample 2 reads background scenario 0"):
+            sample_draws(mini_top, cfg, 2, bg.model, bg.scenarios)
+
+    def test_explicit_pool_is_used_as_given(self, mini_top):
+        cfg = self._cfg(samples=2)
+        bm = BackgroundModel(mini_top)
+        pool = bm.build_pool(2, derive_rng(5, "pool"), reserve_nodes=32)
+        assert all(sc is not None for sc in pool)
+        bg = CampaignBackground(mini_top, cfg, bm, pool)
+        bg.build()
+        assert bg.scenarios is pool
+        # the slot is drawn over the explicit pool's own length
+        for i in range(4):
+            nodes, bgu, intensity = bg.draws(i)
+            _, _, slot = sample_slot(mini_top, cfg, i, len(pool))
+            want = mask_endpoint_background(
+                mini_top, pool[slot].at_intensity(intensity), nodes
+            )
+            assert bgu.tobytes() == want.tobytes()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.biases import AD0, AD1, AD2, AD3
+from repro.faults.model import FaultSchedule
 from repro.network.counters import CounterBank
-from repro.network.fluid import FlowSet, FluidParams, solve_fluid
+from repro.network.fluid import FlowSet, FluidParams, sample_paths, solve_fluid
 
 
 def _perm_flows(top, rng, n=128, nbytes=1.2e6):
@@ -201,3 +202,54 @@ class TestSolveFluid:
             FluidParams(damping=1.0)
         with pytest.raises(ValueError):
             FluidParams(n_iter=0)
+
+
+def _mini_flows(top, kind, n=200, seed=3):
+    """``n`` mini flows: ``random`` pairs, ``intra``-group only, or ``empty``."""
+    if kind == "empty":
+        return FlowSet.empty()
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, top.n_nodes, n)
+    if kind == "intra":
+        per_group = top.routers_per_group * top.nodes_per_router
+        # a different node of the source's group
+        step = 1 + rng.integers(0, per_group - 1, n)
+        dst = (src // per_group) * per_group + (src % per_group + step) % per_group
+        assert (top.node_group(src) == top.node_group(dst)).all()
+    else:
+        dst = (src + 1 + rng.integers(0, top.n_nodes - 1, n)) % top.n_nodes
+    return FlowSet(src, dst, np.full(n, 1e6), np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.filterwarnings("ignore::repro.network.fluid.NonConvergenceWarning")
+class TestSamplePaths:
+    """:func:`sample_paths` is the solver's only use of its generator: a
+    caller that skips a solve but exhausts it leaves the stream where the
+    solve would have, so every later draw is unchanged."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+    @pytest.mark.parametrize("kind", ["random", "intra", "empty"])
+    @pytest.mark.parametrize("params", [FluidParams(), FluidParams(k_min=2, k_nonmin=2, n_iter=4)])
+    def test_same_post_state_as_solve(self, mini_top, kind, faulted, params):
+        top = mini_top
+        if faulted:
+            # broken rows go through _repair_faulted, which draws too
+            top = top.with_faults(FaultSchedule.parse("rank3:0.25", seed=7))
+        flows = _mini_flows(mini_top, kind)
+        solved = np.random.default_rng(5)
+        solve_fluid(top, flows, [AD0], rng=solved, params=params)
+        sampled = np.random.default_rng(5)
+        bundles = list(sample_paths(top, flows, params, sampled))
+        assert sampled.bit_generator.state == solved.bit_generator.state
+        assert [b.kind for b in bundles] == ([] if kind == "empty" else ["minimal", "nonminimal"])
+
+    def test_fault_repair_draws(self, mini_top):
+        # the faulted case above is only a check if the repair draws
+        flows = _mini_flows(mini_top, "random")
+        faulted = mini_top.with_faults(FaultSchedule.parse("rank3:0.25", seed=7))
+        states = []
+        for top in (mini_top, faulted):
+            rng = np.random.default_rng(5)
+            list(sample_paths(top, flows, FluidParams(), rng))
+            states.append(rng.bit_generator.state)
+        assert states[0] != states[1]

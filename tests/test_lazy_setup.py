@@ -1,11 +1,13 @@
 """Lazy campaign set-up: the background pool is built only when a run needs it.
 
 Every campaign path resolves its background through
-:class:`repro.core.experiment.CampaignBackground`, which builds the
-``scenario_pool`` scenarios on the first draw.  These tests count
-:meth:`BackgroundModel.build_scenario` calls per process (fork children
-included, through a pid-tagged log file) on each path, and check that the
-CLI never imports ``scipy`` unless a density is computed.
+:class:`repro.core.experiment.CampaignBackground`, which builds the pool
+on the first draw: all ``scenario_pool`` scenarios are drawn, but only
+those the campaign's samples read (its drawn set) get a fluid solve.
+These tests count :meth:`BackgroundModel.build_scenario` calls and pool
+``solve_fluid`` calls per process (fork children included, through
+pid-tagged log files) on each path, and check that the CLI never imports
+``scipy`` unless a density is computed.
 """
 
 import multiprocessing as mp
@@ -20,8 +22,14 @@ import pytest
 from repro.apps import MILC
 from repro.core import checkpoint as ckpt
 from repro.core.biases import AD0, AD3
-from repro.core.experiment import CampaignConfig, campaign_fingerprint, run_campaign
+from repro.core.experiment import (
+    CampaignConfig,
+    campaign_fingerprint,
+    drawn_slots,
+    run_campaign,
+)
 from repro.dist import DistWorker, WorkQueue, run_campaign_distributed
+from repro.scheduler import background
 from repro.scheduler.background import BackgroundModel
 from repro.service import RunRecordStore, entry_key, run_campaign_cached
 from repro.topology.systems import mini
@@ -31,6 +39,8 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 POOL = 3
+#: the pool slots the two samples of ``_cfg()`` read
+DRAWN = {1, 2}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -50,9 +60,9 @@ def _dicts(records):
     return [ckpt.record_to_dict(r) for r in records]
 
 
-class BuildLog:
-    """``build_scenario`` calls by pid, appended to a file so that forked
-    children's calls are counted too."""
+class CallLog:
+    """Calls by pid, appended to a file so that forked children's calls
+    are counted too."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
@@ -69,17 +79,29 @@ class BuildLog:
         self.path.unlink(missing_ok=True)
 
 
-@pytest.fixture
-def builds(tmp_path, monkeypatch):
-    log = BuildLog(tmp_path / "builds.log")
-    real = BackgroundModel.build_scenario
-
-    def counted(self, *args, **kwargs):
+def _counted(log: CallLog, real):
+    def counted(*args, **kwargs):
         with open(log.path, "a") as f:
             f.write(f"{os.getpid()}\n")
-        return real(self, *args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(BackgroundModel, "build_scenario", counted)
+    return counted
+
+
+@pytest.fixture
+def builds(tmp_path, monkeypatch):
+    log = CallLog(tmp_path / "builds.log")
+    monkeypatch.setattr(
+        BackgroundModel, "build_scenario", _counted(log, BackgroundModel.build_scenario)
+    )
+    return log
+
+
+@pytest.fixture
+def solves(tmp_path, monkeypatch):
+    """Fluid solves of pool scenarios (the pool module's ``solve_fluid``)."""
+    log = CallLog(tmp_path / "solves.log")
+    monkeypatch.setattr(background, "solve_fluid", _counted(log, background.solve_fluid))
     return log
 
 
@@ -96,6 +118,12 @@ class TestPoolBuiltOnlyWhenNeeded:
         records = run_campaign(top, _cfg(), jobs=1)
         assert _dicts(records) == serial[0]
         assert builds.counts() == {os.getpid(): POOL}
+
+    def test_cold_serial_solves_only_the_drawn_set(self, top, solves, serial):
+        assert drawn_slots(top, _cfg()) == DRAWN
+        records = run_campaign(top, _cfg(), jobs=1)
+        assert _dicts(records) == serial[0]
+        assert solves.counts() == {os.getpid(): len(DRAWN)}
 
     def test_fully_resumed_serial_builds_nothing(
         self, top, builds, serial, tmp_path
@@ -138,12 +166,14 @@ class TestPoolBuiltOnlyWhenNeeded:
         assert ck.read_bytes() == serial[1]
 
     def test_fork_pool_builds_in_the_parent_only_when_forking(
-        self, top, builds, serial, tmp_path
+        self, top, builds, solves, serial, tmp_path
     ):
         ck = tmp_path / "ck.jsonl"
         records = run_campaign(top, _cfg(), jobs=2, checkpoint_path=str(ck))
         assert _dicts(records) == serial[0]
         assert builds.counts() == {os.getpid(): POOL}
+        # the parent solves the drawn set once; its children solve none
+        assert solves.counts() == {os.getpid(): len(DRAWN)}
         # nothing left to fork for: no pool at all
         builds.reset()
         records = run_campaign(

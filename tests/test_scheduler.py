@@ -200,3 +200,22 @@ class TestBackground:
         a = bm.build_scenario(np.random.default_rng(11))
         b = bm.build_scenario(np.random.default_rng(11))
         np.testing.assert_array_equal(a.util, b.util)
+
+    @pytest.mark.parametrize("system", ["mini_top", "theta_top"])
+    def test_pool_solving_some_slots_keeps_the_stream(self, request, system):
+        """Skipped slots still draw their jobs, flows and paths, so every
+        solved slot holds exactly the full pool's scenario and the pool
+        stream ends where the full pool's does."""
+        top = request.getfixturevalue(system)
+        bm = BackgroundModel(top)
+        reserve = top.n_nodes // 8
+        full_rng = np.random.default_rng(21)
+        full = bm.build_pool(4, full_rng, reserve_nodes=reserve)
+        part_rng = np.random.default_rng(21)
+        part = bm.build_pool(4, part_rng, reserve_nodes=reserve, solve={1, 3})
+        assert all(sc is not None for sc in full)
+        assert [sc is not None for sc in part] == [False, True, False, True]
+        for slot in (1, 3):
+            assert part[slot].util.tobytes() == full[slot].util.tobytes()
+            assert (part[slot].n_jobs, part[slot].fill) == (full[slot].n_jobs, full[slot].fill)
+        assert part_rng.bit_generator.state == full_rng.bit_generator.state
