@@ -31,54 +31,19 @@ Layout:
   ensembles, facility studies, metrics/analysis, the routing advisor.
 """
 
-from repro.core.biases import AD0, AD1, AD2, AD3, RoutingMode, VENDOR_MODES, mode_by_name
-from repro.core.experiment import (
-    CampaignConfig,
-    RunRecord,
-    run_app_once,
-    run_campaign,
-    stats_by_mode,
-)
-from repro.core.ensembles import EnsembleConfig, run_ensemble
-from repro.core.facility import run_default_change_study
-from repro.core.advisor import recommend
-from repro.apps import MILC, MILCReorder, Nek5000, HACC, Qbox, Rayleigh
-from repro.guard import GuardPolicy, InvariantViolation, RunTimeoutError
-from repro.mpi.env import RoutingEnv
-from repro.topology.systems import theta, cori, mini, toy
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AD0",
-    "AD1",
-    "AD2",
-    "AD3",
-    "RoutingMode",
-    "VENDOR_MODES",
-    "mode_by_name",
-    "CampaignConfig",
-    "RunRecord",
-    "run_app_once",
-    "run_campaign",
-    "stats_by_mode",
-    "EnsembleConfig",
-    "run_ensemble",
-    "run_default_change_study",
-    "recommend",
-    "GuardPolicy",
-    "InvariantViolation",
-    "RunTimeoutError",
-    "MILC",
-    "MILCReorder",
-    "Nek5000",
-    "HACC",
-    "Qbox",
-    "Rayleigh",
-    "RoutingEnv",
-    "theta",
-    "cori",
-    "mini",
-    "toy",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.biases": "AD0 AD1 AD2 AD3 RoutingMode VENDOR_MODES mode_by_name",
+    ".core.experiment": "CampaignConfig RunRecord run_app_once run_campaign stats_by_mode",
+    ".core.ensembles": "EnsembleConfig run_ensemble",
+    ".core.facility": "run_default_change_study",
+    ".core.advisor": "recommend",
+    ".guard": "GuardPolicy InvariantViolation RunTimeoutError",
+    ".apps": "MILC MILCReorder Nek5000 HACC Qbox Rayleigh",
+    ".mpi.env": "RoutingEnv",
+    ".topology.systems": "theta cori mini toy",
+})
+__all__.append("__version__")

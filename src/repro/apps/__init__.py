@@ -19,53 +19,15 @@ Rayleigh          none                   heavy alltoallv (23 MB)      28
 ================  =====================  ==========================  ======
 """
 
-from repro.apps.base import Application, grid_dims, stencil_flows, rank_grid_coords
-from repro.apps.milc import MILC, MILCReorder
-from repro.apps.nek5000 import Nek5000
-from repro.apps.hacc import HACC
-from repro.apps.qbox import Qbox
-from repro.apps.rayleigh import Rayleigh
-from repro.apps.synthetic import (
-    LatencyBound,
-    BisectionBound,
-    InjectionBound,
-    ComputeBound,
-)
+from repro.util.lazy import lazy_exports
 
-#: the paper's production application set, in Table-II order
-PRODUCTION_APPS = (MILC, MILCReorder, Nek5000, HACC, Qbox, Rayleigh)
-
-
-def app_by_name(name: str) -> type[Application]:
-    """Look up an application class by (case-insensitive) name."""
-    table = {cls.name.lower(): cls for cls in PRODUCTION_APPS}
-    table.update(
-        {
-            cls.name.lower(): cls
-            for cls in (LatencyBound, BisectionBound, InjectionBound, ComputeBound)
-        }
-    )
-    key = name.lower().replace(" ", "")
-    if key not in table:
-        raise KeyError(f"unknown application {name!r}; have {sorted(table)}")
-    return table[key]
-
-
-__all__ = [
-    "Application",
-    "grid_dims",
-    "stencil_flows",
-    "rank_grid_coords",
-    "MILC",
-    "MILCReorder",
-    "Nek5000",
-    "HACC",
-    "Qbox",
-    "Rayleigh",
-    "LatencyBound",
-    "BisectionBound",
-    "InjectionBound",
-    "ComputeBound",
-    "PRODUCTION_APPS",
-    "app_by_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": "Application grid_dims stencil_flows rank_grid_coords",
+    ".milc": "MILC MILCReorder",
+    ".nek5000": "Nek5000",
+    ".hacc": "HACC",
+    ".qbox": "Qbox",
+    ".rayleigh": "Rayleigh",
+    ".synthetic": "LatencyBound BisectionBound InjectionBound ComputeBound",
+    ".catalog": "PRODUCTION_APPS app_by_name",
+})

@@ -12,43 +12,10 @@ imported lazily; it pulls in the campaign engine).  See
 ``docs/CHAOS.md``.
 """
 
-from repro.chaos.failpoints import (
-    SITES,
-    UnknownFailpointError,
-    activate,
-    activate_from_env,
-    active,
-    current,
-    deactivate,
-    failpoint,
-    is_active,
-)
-from repro.chaos.schedule import (
-    ACTIONS,
-    CRASH_EXIT_CODE,
-    ChaosRule,
-    ChaosSchedule,
-    ChaosSpecError,
-)
+from repro.util.lazy import lazy_exports
 
-# NOTE: repro.chaos.runner is deliberately NOT imported here — it
-# depends on repro.core.experiment, which (via checkpoint ->
-# util.durable -> chaos.failpoints) imports this package; importing it
-# at module level would be a cycle.
-
-__all__ = [
-    "ACTIONS",
-    "CRASH_EXIT_CODE",
-    "ChaosRule",
-    "ChaosSchedule",
-    "ChaosSpecError",
-    "SITES",
-    "UnknownFailpointError",
-    "activate",
-    "activate_from_env",
-    "active",
-    "current",
-    "deactivate",
-    "failpoint",
-    "is_active",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".failpoints": "SITES UnknownFailpointError activate activate_from_env active "
+    "current deactivate failpoint is_active",
+    ".schedule": "ACTIONS CRASH_EXIT_CODE ChaosRule ChaosSchedule ChaosSpecError",
+})

@@ -160,12 +160,12 @@ def activate_from_env(environ=None) -> "ChaosSchedule | None":
     or empty.  Raises :class:`~repro.chaos.schedule.ChaosSpecError`
     (a ``ValueError``) on a malformed spec — the CLI maps it to exit 2.
     """
-    from repro.chaos.schedule import ChaosSchedule
-
     env = os.environ if environ is None else environ
     spec = env.get(ENV_SPEC, "").strip()
     if not spec:
         return None
+    from repro.chaos.schedule import ChaosSchedule
+
     schedule = ChaosSchedule.parse(
         spec,
         seed=int(env.get(ENV_SEED, "0") or "0"),

@@ -23,66 +23,48 @@ for reproducibility, plus the observability flags:
 ``--metrics PATH``
     Write accumulated metrics at exit — Prometheus text exposition, or
     JSON when the path ends in ``.json``.
+
+Each handler imports what its command runs, so a process loads only the
+code it uses (``report`` never imports numpy; see docs/PERFORMANCE.md,
+"Start-up").
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import signal
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.apps import app_by_name
-from repro.core.advisor import recommend
-from repro.core.analysis import improvement_table
-from repro.core.biases import VENDOR_MODES, mode_by_name
-from repro.core.ensembles import EnsembleConfig
-from repro.core.experiment import (
-    CampaignConfig,
-    _effective_jobs,
-    run_app_once,
-    run_campaign,
-    stats_by_mode,
-)
-from repro.core.facility import run_default_change_study
-from repro.core.metrics import LATENCY_PERCENTILES
-from repro.faults import FaultSchedule, NetworkPartitionedError
-from repro.mpi.env import RoutingEnv
-from repro.telemetry import (
-    BusTraceWriter,
-    CampaignProgress,
-    EventBus,
+from repro.faults.errors import NetworkPartitionedError
+from repro.telemetry.context import Telemetry, use_telemetry
+from repro.telemetry.trace import (
+    NULL_TRACE,
     JsonlTraceWriter,
     LoggingTraceWriter,
-    MetricsExporter,
-    MetricsRegistry,
     MultiTraceWriter,
-    NULL_TRACE,
-    SeriesConfig,
-    Telemetry,
-    TraceTail,
-    format_summary,
-    scan_trace,
-    summarize_trace,
-    use_telemetry,
 )
-from repro.telemetry.exporter import BindError
-from repro.telemetry.top import heartbeat_ages, render_top
-from repro.topology.systems import cori, mini, slingshot, theta, toy
-from repro.util import derive_rng
 
-SYSTEMS = {
-    "theta": theta,
-    "cori": cori,
-    "slingshot": slingshot,
-    "mini": mini,
-    "toy": toy,
-}
+if TYPE_CHECKING:
+    from repro.faults.model import FaultSchedule
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.stream import CampaignProgress
+
+
+def _preset(name: str):
+    def build():
+        from repro.topology import systems
+
+        return getattr(systems, name)()
+
+    return build
+
+
+SYSTEMS = {name: _preset(name) for name in ("theta", "cori", "slingshot", "mini", "toy")}
 
 logger = logging.getLogger("repro.cli")
 
@@ -93,11 +75,25 @@ def _system(name: str):
     return SYSTEMS[name]()
 
 
+def _app(name: str):
+    from repro.apps import app_by_name
+
+    return app_by_name(name)()
+
+
+def _modes(spec: str) -> tuple:
+    from repro.core.biases import mode_by_name
+
+    return tuple(mode_by_name(m) for m in spec.split(","))
+
+
 def _faults_from_args(args) -> FaultSchedule | None:
     """Parse ``--faults`` (see docs/FAULTS.md for the mini-language)."""
     spec = getattr(args, "faults", None)
     if not spec:
         return None
+    from repro.faults.model import FaultSchedule
+
     return FaultSchedule.parse(spec, seed=args.seed)
 
 
@@ -121,7 +117,23 @@ def _guard_from_args(args):
     )
 
 
+def _print_mode_stats(records) -> None:
+    from repro.core.experiment import stats_by_mode
+
+    for mode, st in sorted(
+        stats_by_mode(records).items(),
+        key=lambda kv: kv[1].mean if math.isfinite(kv[1].mean) else float("inf"),
+    ):
+        flag = "" if st.reliable else "  [unreliable: too few samples]"
+        print(
+            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
+            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
+        )
+
+
 def cmd_describe(args) -> int:
+    from repro.core.biases import VENDOR_MODES
+
     top = _system(args.system)
     print(top.describe())
     print(f"  routers: {top.n_routers}  links: {top.n_links}")
@@ -133,13 +145,13 @@ def cmd_describe(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.core.analysis import improvement_table
+    from repro.core.experiment import CampaignConfig, run_campaign
+
     top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
+    app = _app(args.app)
+    modes = _modes(args.modes)
     faults = _faults_from_args(args)
-    print(f"{app.describe()} on {top.params.name}, {args.samples} samples per mode ...")
-    if faults:
-        print(f"  degraded network: {faults.describe()}")
     cfg = CampaignConfig(
         app=app,
         n_nodes=args.nodes,
@@ -150,6 +162,9 @@ def cmd_compare(args) -> int:
         max_attempts=args.max_attempts,
         guard=_guard_from_args(args),
     )
+    print(f"{app.describe()} on {top.params.name}, {args.samples} samples per mode ...")
+    if faults:
+        print(f"  degraded network: {faults.describe()}")
     cache_dir = getattr(args, "cache", None)
     if cache_dir is not None:
         from repro.service import RunRecordStore, run_campaign_cached
@@ -180,15 +195,7 @@ def cmd_compare(args) -> int:
     failed = [r for r in records if not r.ok]
     if failed:
         print(f"  {len(failed)}/{len(records)} runs failed (first: {failed[0].error})")
-    for mode, st in sorted(
-        stats_by_mode(records).items(),
-        key=lambda kv: kv[1].mean if np.isfinite(kv[1].mean) else float("inf"),
-    ):
-        flag = "" if st.reliable else "  [unreliable: too few samples]"
-        print(
-            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
-            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
-        )
+    _print_mode_stats(records)
     for row in improvement_table(records, base_mode=modes[0].name, test_mode=modes[-1].name):
         print(
             f"\n{row.test_mode} over {row.base_mode}: "
@@ -205,8 +212,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_advise(args) -> int:
+    import numpy as np
+
+    from repro.core.advisor import recommend
+    from repro.core.experiment import run_app_once
+    from repro.mpi.env import RoutingEnv
+    from repro.util import derive_rng
+
     top = _system(args.system)
-    app = app_by_name(args.app)()
+    app = _app(args.app)
     print(f"profiling {app.name} on {top.params.name} ...")
     _, report, _ = run_app_once(
         top,
@@ -221,6 +235,9 @@ def cmd_advise(args) -> int:
 
 
 def cmd_facility(args) -> int:
+    from repro.core.facility import run_default_change_study
+    from repro.core.metrics import LATENCY_PERCENTILES
+
     top = _system(args.system)
     print(f"simulating 2 x {args.intervals} production intervals on {top.params.name} ...")
     study = run_default_change_study(top, n_intervals=args.intervals, seed=args.seed)
@@ -289,15 +306,16 @@ def _ensemble_lines(args, app, mode, faults, res) -> list[str]:
 
 
 def cmd_ensemble(args) -> int:
+    import json
+
+    from repro.core.ensembles import EnsembleConfig
+    from repro.core.experiment import _effective_jobs
     from repro.parallel import run_ensembles
     from repro.util import durable
 
     top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = [
-        mode_by_name(m)
-        for m in (args.modes.split(",") if args.modes else [args.mode])
-    ]
+    app = _app(args.app)
+    modes = _modes(args.modes or args.mode)
     faults = _faults_from_args(args)
     fingerprint = {
         "kind": "ensemble",
@@ -409,7 +427,8 @@ def cmd_worker(args) -> int:
 
 def cmd_queue_status(args) -> int:
     """Point-in-time scan of a distributed campaign's queue directory."""
-    from repro.dist import WorkQueue
+    from repro.dist.queue import WorkQueue
+    from repro.telemetry.top import heartbeat_ages
 
     queue = WorkQueue(args.queue)
     manifest = queue.load_manifest()
@@ -526,10 +545,11 @@ def cmd_chaos(args) -> int:
 
     from repro.chaos.runner import run_soak, verify_replay
     from repro.chaos.schedule import ChaosSpecError
+    from repro.core.experiment import CampaignConfig
 
     top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
+    app = _app(args.app)
+    modes = _modes(args.modes)
     cfg = CampaignConfig(
         app=app,
         n_nodes=args.nodes,
@@ -575,13 +595,14 @@ def cmd_chaos(args) -> int:
 
 def cmd_submit(args) -> int:
     """Submit a campaign to a running service (`repro serve`)."""
+    from repro.core.experiment import CampaignConfig
     from repro.dist.manifest import campaign_to_manifest
     from repro.service import client
     from repro.telemetry import resolve_telemetry
 
     top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
+    app = _app(args.app)
+    modes = _modes(args.modes)
     cfg = CampaignConfig(
         app=app,
         n_nodes=args.nodes,
@@ -613,16 +634,7 @@ def cmd_submit(args) -> int:
     )
     from repro.core.checkpoint import record_from_dict
 
-    records = [record_from_dict(d) for d in doc.get("records", [])]
-    for mode, st in sorted(
-        stats_by_mode(records).items(),
-        key=lambda kv: kv[1].mean if np.isfinite(kv[1].mean) else float("inf"),
-    ):
-        flag = "" if st.reliable else "  [unreliable: too few samples]"
-        print(
-            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
-            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
-        )
+    _print_mode_stats([record_from_dict(d) for d in doc.get("records", [])])
     return 0
 
 
@@ -655,6 +667,9 @@ def cmd_cache_status(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.telemetry.report import format_summary, summarize_trace
+    from repro.telemetry.trace import scan_trace
+
     path = Path(args.trace_path)
     if getattr(args, "follow", False):
         return _report_follow(args, path)
@@ -687,6 +702,9 @@ def cmd_report(args) -> int:
 
 def _report_follow(args, path: Path) -> int:
     """``report --follow``: re-summarize as the trace grows."""
+    from repro.telemetry.report import format_summary, summarize_trace
+    from repro.telemetry.stream import TraceTail
+
     interval = max(float(getattr(args, "interval", 2.0) or 2.0), 0.05)
     max_seconds = getattr(args, "max_seconds", None)
     deadline = time.monotonic() + max_seconds if max_seconds else None
@@ -712,6 +730,9 @@ def _report_follow(args, path: Path) -> int:
 
 def cmd_top(args) -> int:
     """Live campaign progress from a trace another process is writing."""
+    from repro.telemetry.stream import CampaignProgress, TraceTail
+    from repro.telemetry.top import heartbeat_ages, render_top
+
     tail = TraceTail(args.trace_path)
     prog = CampaignProgress()
     max_seconds = getattr(args, "max_seconds", None)
@@ -762,6 +783,10 @@ def _fold_progress_metrics(reg: MetricsRegistry, prog: CampaignProgress) -> None
 
 def cmd_serve_metrics(args) -> int:
     """Standalone sidecar exporter following a live campaign trace."""
+    from repro.telemetry.exporter import MetricsExporter
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.stream import CampaignProgress, TraceTail
+
     reg = MetricsRegistry(enabled=True)
     prog = CampaignProgress()
     tail = TraceTail(args.trace) if args.trace else None
@@ -1383,6 +1408,8 @@ def _telemetry_from_args(args) -> Telemetry:
         not passive and getattr(args, "serve", None) is not None
     )
     if not passive and getattr(args, "series", None) is not None:
+        from repro.telemetry.series import SeriesConfig
+
         tel.series = SeriesConfig(cadence=args.series)
     if trace_path:
         logger.info("tracing engine events to %s", trace_path)
@@ -1413,6 +1440,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if serve_port is not None:
+            from repro.telemetry.exporter import MetricsExporter
+            from repro.telemetry.stream import BusTraceWriter, CampaignProgress, EventBus
+
             # splice a bus into the trace path so the exporter's /runs view
             # tracks the campaign live, with zero changes to the engines
             bus = EventBus()
@@ -1430,7 +1460,11 @@ def main(argv: list[str] | None = None) -> int:
     except NetworkPartitionedError as e:
         print(f"error: network partitioned: {e}", file=sys.stderr)
         return 2
-    except (ValueError, BindError) as e:
+    except (ValueError, OSError) as e:
+        from repro.telemetry.exporter import BindError  # an OSError
+
+        if not isinstance(e, (ValueError, BindError)):
+            raise
         # bad config/topology/fault-spec values and unbindable ports are
         # user errors, not bugs
         print(f"error: {e}", file=sys.stderr)

@@ -19,161 +19,26 @@ This subpackage turns the study of Section III-V into reusable pieces:
   (Figs. 13-14).
 """
 
-from repro.core.biases import RoutingMode, AD0, AD1, AD2, AD3, VENDOR_MODES, mode_by_name
-from repro.core.policy import (
-    PolicyParams,
-    minimal_preferred,
-    split_fraction,
-    effective_shift,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RoutingMode",
-    "AD0",
-    "AD1",
-    "AD2",
-    "AD3",
-    "VENDOR_MODES",
-    "mode_by_name",
-    "PolicyParams",
-    "minimal_preferred",
-    "split_fraction",
-    "effective_shift",
-]
-
-from repro.core.metrics import (
-    zscore,
-    zscore_pooled,
-    remove_outliers,
-    ccdf,
-    density,
-    percentile_summary,
-    percent_change,
-    SampleStats,
-    LATENCY_PERCENTILES,
-)
-from repro.core.experiment import (
-    CampaignConfig,
-    RunRecord,
-    run_app_once,
-    run_campaign,
-    runtimes_by_mode,
-    stats_by_mode,
-    resolve_phase,
-    mask_endpoint_background,
-)
-from repro.core.ensembles import EnsembleConfig, EnsembleResult, run_ensemble
-from repro.core.facility import (
-    WindowConfig,
-    WindowResult,
-    DefaultChangeStudy,
-    simulate_production_window,
-    run_default_change_study,
-)
-from repro.core.advisor import Recommendation, classify, recommend
-from repro.core.analysis import (
-    ImprovementRow,
-    improvement_table,
-    normalized_by_mode,
-    group_span_series,
-    breakdown_rows,
-    ratio_samples,
-)
-
-__all__ += [
-    "zscore",
-    "zscore_pooled",
-    "remove_outliers",
-    "ccdf",
-    "density",
-    "percentile_summary",
-    "percent_change",
-    "SampleStats",
-    "LATENCY_PERCENTILES",
-    "CampaignConfig",
-    "RunRecord",
-    "run_app_once",
-    "run_campaign",
-    "runtimes_by_mode",
-    "stats_by_mode",
-    "resolve_phase",
-    "mask_endpoint_background",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "run_ensemble",
-    "WindowConfig",
-    "WindowResult",
-    "DefaultChangeStudy",
-    "simulate_production_window",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".biases": "RoutingMode AD0 AD1 AD2 AD3 VENDOR_MODES mode_by_name",
+    ".policy": "PolicyParams minimal_preferred split_fraction effective_shift",
+    ".metrics": "zscore zscore_pooled remove_outliers ccdf density percentile_summary "
+    "percent_change SampleStats LATENCY_PERCENTILES",
+    ".experiment": "CampaignConfig RunRecord run_app_once run_campaign runtimes_by_mode "
+    "stats_by_mode resolve_phase mask_endpoint_background",
+    ".ensembles": "EnsembleConfig EnsembleResult run_ensemble",
+    ".facility": "WindowConfig WindowResult DefaultChangeStudy simulate_production_window "
     "run_default_change_study",
-    "Recommendation",
-    "classify",
-    "recommend",
-    "ImprovementRow",
-    "improvement_table",
-    "normalized_by_mode",
-    "group_span_series",
-    "breakdown_rows",
-    "ratio_samples",
-]
-
-from repro.core.awr import AwrConfig, AwrRunResult, run_app_awr, run_app_static
-from repro.core.reporting import (
-    bar_chart,
-    grouped_bar_chart,
-    density_plot,
-    series_plot,
-    histogram,
-)
-
-__all__ += [
-    "AwrConfig",
-    "AwrRunResult",
-    "run_app_awr",
-    "run_app_static",
-    "bar_chart",
-    "grouped_bar_chart",
-    "density_plot",
-    "series_plot",
-    "histogram",
-]
-
-from repro.core.interference import (
-    InterferenceEntry,
-    interference_matrix,
-    format_matrix,
-)
-
-__all__ += ["InterferenceEntry", "interference_matrix", "format_matrix"]
-
-from repro.core.variability import (
-    DispersionStats,
-    variability_report,
-    explain_variability,
-    format_variability,
-)
-
-__all__ += [
-    "DispersionStats",
-    "variability_report",
-    "explain_variability",
+    ".advisor": "Recommendation classify recommend",
+    ".analysis": "ImprovementRow improvement_table normalized_by_mode group_span_series "
+    "breakdown_rows ratio_samples",
+    ".awr": "AwrConfig AwrRunResult run_app_awr run_app_static",
+    ".reporting": "bar_chart grouped_bar_chart density_plot series_plot histogram",
+    ".interference": "InterferenceEntry interference_matrix format_matrix",
+    ".variability": "DispersionStats variability_report explain_variability "
     "format_variability",
-]
-
-from repro.core.calibration import (
-    CalibrationTarget,
-    PAPER_TARGETS,
-    probe_observables,
-    score_against_paper,
-    format_score,
-    sweep_parameter,
-)
-
-__all__ += [
-    "CalibrationTarget",
-    "PAPER_TARGETS",
-    "probe_observables",
-    "score_against_paper",
-    "format_score",
-    "sweep_parameter",
-]
+    ".calibration": "CalibrationTarget PAPER_TARGETS probe_observables "
+    "score_against_paper format_score sweep_parameter",
+})

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util import check_in_range
+from repro.util.validation import UnknownNameError, check_in_range
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def mode_by_name(name: str) -> RoutingMode:
             return _BY_NAME[key]
     if key.isdigit() and f"AD{key}" in _BY_NAME:
         return _BY_NAME[f"AD{key}"]
-    raise KeyError(f"unknown routing mode {name!r}; expected AD0..AD3")
+    raise UnknownNameError(f"unknown routing mode {name!r}; expected AD0..AD3")
 
 
 def custom_bias(shift: int, add: int) -> RoutingMode:

@@ -24,6 +24,7 @@ from repro.network.fluid import FluidParams
 from repro.scheduler.background import BackgroundModel
 from repro.topology.dragonfly import DragonflyTopology
 from repro.util import derive_rng
+from repro.util.validation import UnknownNameError
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,10 @@ _SWEEPABLE = {
 }
 
 
-class UnknownConstantError(KeyError, ValueError):
-    """A sweep named a constant outside ``_SWEEPABLE`` (a config error)."""
-
-    def __str__(self) -> str:  # KeyError would quote the message
-        return str(self.args[0])
-
-
 def check_sweepable(name: str) -> None:
-    """Raise :class:`UnknownConstantError` unless ``name`` can be swept."""
+    """Raise :class:`UnknownNameError` unless ``name`` can be swept."""
     if name not in _SWEEPABLE:
-        raise UnknownConstantError(
+        raise UnknownNameError(
             f"unknown sweepable constant {name!r}; have {sorted(_SWEEPABLE)}"
         )
 

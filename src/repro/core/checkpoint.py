@@ -20,7 +20,6 @@ whose fingerprint disagrees with the resuming campaign's config.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 from typing import Any
@@ -30,28 +29,10 @@ import numpy as np
 from repro.monitoring.autoperf import AutoPerfReport, MpiOpRecord
 from repro.network.counters import TILE_CLASSES, CounterSnapshot
 from repro.util import durable
+from repro.util.durable import StoreUnavailableError
 
 _KIND = "campaign-checkpoint"
 _VERSION = 1
-
-
-class StoreUnavailableError(OSError):
-    """Durable storage failed (ENOSPC/EIO) during a commit.
-
-    The typed wrapper callers catch instead of bare ``OSError``: it
-    names the operation that failed and guarantees the failed commit
-    left no half-written scratch behind (tmp files are cleaned on the
-    error path before this is raised).  Raised by checkpoint writes and
-    :class:`repro.service.store.RunRecordStore` commits.
-    """
-
-    def __init__(self, op: str, exc: OSError) -> None:
-        super().__init__(
-            exc.errno if exc.errno is not None else errno.EIO,
-            f"{op}: {exc.strerror or exc}",
-            getattr(exc, "filename", None),
-        )
-        self.op = op
 
 
 def _counters_to_dict(snap: CounterSnapshot) -> dict[str, Any]:
@@ -139,8 +120,12 @@ def record_to_dict(rec: Any) -> dict[str, Any]:
 def record_from_dict(d: dict[str, Any]) -> Any:
     """Rebuild a RunRecord from :func:`record_to_dict` output."""
     from repro.core.experiment import RunRecord  # cycle: experiment imports us
-    from repro.telemetry.series import CounterSeries
 
+    series = d.get("series")
+    if series is not None:
+        from repro.telemetry.series import CounterSeries
+
+        series = CounterSeries.from_dict(series)
     return RunRecord(
         app=d["app"],
         mode=d["mode"],
@@ -159,9 +144,7 @@ def record_from_dict(d: dict[str, Any]) -> Any:
         solver_max_residual=d["solver_max_residual"],
         solver_max_residual_mean=d["solver_max_residual_mean"],
         solver_iterations=int(d["solver_iterations"]),
-        series=(
-            CounterSeries.from_dict(d["series"]) if d.get("series") is not None else None
-        ),
+        series=series,
     )
 
 

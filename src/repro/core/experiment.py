@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +24,10 @@ from repro.apps.base import Application
 from repro.core import checkpoint as ckpt
 from repro.core.biases import AD0, AD3, RoutingMode
 from repro.core.metrics import SampleStats, remove_outliers
-from repro.faults import FaultSchedule, NetworkPartitionedError
-from repro.guard import GuardPolicy, InvariantViolation, RunTimeoutError
-from repro.guard.bundle import RingTraceWriter, write_bundle
+from repro.faults.errors import NetworkPartitionedError
 from repro.guard.context import RunGuard, use_guard
+from repro.guard.errors import InvariantViolation, RunTimeoutError
+from repro.guard.policy import GuardPolicy
 from repro.monitoring.autoperf import AutoPerf, AutoPerfReport
 from repro.mpi.env import RoutingEnv
 from repro.mpi.patterns import Phase, TrafficOp
@@ -34,10 +35,13 @@ from repro.network.counters import CounterBank
 from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.scheduler.placement import groups_spanned, make_placement
-from repro.telemetry import MultiTraceWriter, Telemetry
-from repro.telemetry.series import CadenceRecorder, CounterSeries
+from repro.telemetry import MultiTraceWriter, RingTraceWriter, Telemetry
 from repro.topology.dragonfly import DragonflyTopology
-from repro.util import derive_rng
+from repro.util import check_nonnegative, check_positive, derive_rng
+
+if TYPE_CHECKING:
+    from repro.faults.model import FaultSchedule
+    from repro.telemetry.series import CadenceRecorder, CounterSeries
 
 #: fixed software overhead charged per posted message (MPI_Isend etc.)
 POST_OVERHEAD = 0.4e-6
@@ -388,6 +392,11 @@ class CampaignConfig:
     #: produces, so guarded and unguarded checkpoints stay compatible.
     guard: GuardPolicy | None = None
 
+    def __post_init__(self) -> None:
+        # named after their CLI flags: a bad value is a config error (exit 2)
+        check_nonnegative("samples (--samples)", self.samples)
+        check_positive("n_nodes (--nodes)", self.n_nodes)
+
 
 def campaign_fingerprint(top: DragonflyTopology, cfg: CampaignConfig) -> dict:
     """Identity of a campaign for checkpoint compatibility checks.
@@ -614,6 +623,8 @@ def _write_guard_bundle(
     """Best-effort diagnostics bundle for a guard-terminated run."""
     if policy is None or policy.bundle_dir is None:
         return
+    from repro.guard.bundle import write_bundle
+
     path = write_bundle(
         policy.bundle_dir,
         label=label,
@@ -689,7 +700,11 @@ def execute_run(
             guard = RunGuard(policy, telemetry=run_tel, label=label)
         # a fresh recorder per attempt: a retried run's series must
         # reflect only the attempt that produced the record
-        recorder = CadenceRecorder(tel.series) if tel.series is not None else None
+        recorder = None
+        if tel.series is not None:
+            from repro.telemetry.series import CadenceRecorder
+
+            recorder = CadenceRecorder(tel.series)
         try:
             with use_guard(guard):
                 runtime, report, timings = run_app_once(

@@ -14,36 +14,11 @@ serial run — see ``docs/DISTRIBUTED.md``.
 * :mod:`repro.dist.manifest` — campaign ↔ JSON manifest round-trip.
 """
 
-from repro.dist.coordinator import run_campaign_distributed
-from repro.dist.manifest import (
-    NotDistributable,
-    build_tasks,
-    campaign_to_manifest,
-    manifest_to_campaign,
-)
-from repro.dist.queue import (
-    Lease,
-    QueueStatus,
-    QueueTask,
-    QueueUnavailable,
-    WorkQueue,
-    task_id,
-)
-from repro.dist.worker import DistWorker, WorkerStats, default_owner
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DistWorker",
-    "Lease",
-    "NotDistributable",
-    "QueueStatus",
-    "QueueTask",
-    "QueueUnavailable",
-    "WorkQueue",
-    "WorkerStats",
-    "build_tasks",
-    "campaign_to_manifest",
-    "default_owner",
-    "manifest_to_campaign",
-    "run_campaign_distributed",
-    "task_id",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".coordinator": "run_campaign_distributed",
+    ".manifest": "NotDistributable build_tasks campaign_to_manifest manifest_to_campaign",
+    ".queue": "Lease QueueStatus QueueTask QueueUnavailable WorkQueue task_id",
+    ".worker": "DistWorker WorkerStats default_owner",
+})

@@ -31,7 +31,6 @@ from repro.apps import app_by_name
 from repro.core.biases import mode_by_name
 from repro.core.experiment import CampaignConfig, campaign_fingerprint
 from repro.dist.queue import QueueTask, task_id
-from repro.faults import FaultSchedule
 from repro.guard import GuardPolicy
 from repro.telemetry import Telemetry
 from repro.telemetry.series import SeriesConfig
@@ -99,6 +98,8 @@ def manifest_to_campaign(
     c = manifest["config"]
     faults = None
     if c.get("faults") is not None:
+        from repro.faults.model import FaultSchedule
+
         faults = FaultSchedule.parse(
             c["faults"]["source"], seed=int(c["faults"]["seed"])
         )

@@ -8,17 +8,9 @@ flow has no surviving route.  See ``docs/FAULTS.md`` for the schema,
 the degraded-capacity semantics, and the CLI mini-language.
 """
 
-from repro.faults.errors import FaultSpecError, NetworkPartitionedError
-from repro.faults.model import (
-    NO_FAULTS,
-    FaultSchedule,
-    FaultSpec,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "NO_FAULTS",
-    "FaultSchedule",
-    "FaultSpec",
-    "FaultSpecError",
-    "NetworkPartitionedError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".errors": "FaultSpecError NetworkPartitionedError",
+    ".model": "NO_FAULTS FaultSchedule FaultSpec",
+})

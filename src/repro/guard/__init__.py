@@ -24,36 +24,14 @@ every guard branch and results are byte-identical to an unguarded
 build.  See ``docs/GUARDRAILS.md``.
 """
 
-from repro.guard.bundle import RingTraceWriter, load_bundle, write_bundle
-from repro.guard.context import (
-    RunGuard,
-    active_guard,
-    current_guard,
-    set_current_guard,
-    set_worker_heartbeat,
-    use_guard,
-)
-from repro.guard.errors import GuardWarning, InvariantViolation, RunTimeoutError
-from repro.guard.policy import GUARD_ENV, INVARIANT_MODES, NO_GUARD, GuardPolicy
-from repro.guard.watchdog import Watchdog, WorkerHeartbeat
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "GUARD_ENV",
-    "INVARIANT_MODES",
-    "NO_GUARD",
-    "GuardPolicy",
-    "GuardWarning",
-    "InvariantViolation",
-    "RingTraceWriter",
-    "RunGuard",
-    "RunTimeoutError",
-    "Watchdog",
-    "WorkerHeartbeat",
-    "active_guard",
-    "current_guard",
-    "load_bundle",
-    "set_current_guard",
-    "set_worker_heartbeat",
-    "use_guard",
-    "write_bundle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bundle": "load_bundle write_bundle",
+    ".context": "RunGuard active_guard current_guard set_current_guard "
+    "set_worker_heartbeat use_guard",
+    ".errors": "GuardWarning InvariantViolation RunTimeoutError",
+    ".policy": "GUARD_ENV INVARIANT_MODES NO_GUARD GuardPolicy",
+    ".watchdog": "Watchdog WorkerHeartbeat",
+    "repro.telemetry.trace": "RingTraceWriter",
+})

@@ -3,7 +3,8 @@
 When a guarded run trips a budget or an invariant, the campaign harness
 writes one JSON bundle into the policy's ``bundle_dir`` containing the
 campaign config fingerprint, the run's RNG derivation key, the trailing
-trace events (captured by a :class:`RingTraceWriter`), the guard's
+trace events (captured by a
+:class:`~repro.telemetry.trace.RingTraceWriter`), the guard's
 recorded violations, and a snapshot of the run's metrics.  Bundle
 writing is best-effort by design — a full disk must not turn a recorded
 failure into a crashed campaign — so :func:`write_bundle` returns
@@ -14,33 +15,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from pathlib import Path
 
-from repro.telemetry.trace import TraceWriter
 from repro.util import durable
 
 #: bundle schema version, bumped on incompatible layout changes
 BUNDLE_VERSION = 1
-
-
-class RingTraceWriter(TraceWriter):
-    """Trace sink that keeps only the last ``maxlen`` events.
-
-    Attached alongside a run's real sinks so that a diagnostics bundle
-    can include recent engine activity without the campaign having to
-    persist full traces for every run that might fail.
-    """
-
-    def __init__(self, maxlen: int = 64) -> None:
-        super().__init__()
-        self.events: deque[dict] = deque(maxlen=maxlen)
-
-    def write_event(self, record: dict) -> None:
-        self.events.append(record)
-
-    def tail(self) -> list[dict]:
-        return list(self.events)
 
 
 def _slug(label: str) -> str:

@@ -16,29 +16,12 @@ same report semantics:
   the system-wide percentile study of Fig. 14.
 """
 
-from repro.monitoring.autoperf import AutoPerf, AutoPerfReport, MpiOpRecord
-from repro.monitoring.ldms import LdmsCollector, LdmsSample
-from repro.monitoring.nic import NicLatencyCounters
-from repro.monitoring.export import (
-    autoperf_to_dict,
-    autoperf_to_json,
-    counters_to_csv,
-    ldms_series_to_csv,
-    records_to_csv,
-    series_to_csv,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AutoPerf",
-    "AutoPerfReport",
-    "MpiOpRecord",
-    "LdmsCollector",
-    "LdmsSample",
-    "NicLatencyCounters",
-    "autoperf_to_dict",
-    "autoperf_to_json",
-    "counters_to_csv",
-    "ldms_series_to_csv",
-    "records_to_csv",
-    "series_to_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".autoperf": "AutoPerf AutoPerfReport MpiOpRecord",
+    ".ldms": "LdmsCollector LdmsSample",
+    ".nic": "NicLatencyCounters",
+    ".export": "autoperf_to_dict autoperf_to_json counters_to_csv ldms_series_to_csv "
+    "records_to_csv series_to_csv",
+})

@@ -18,36 +18,12 @@ Routing-mode selection follows Cray MPI's environment variables
 ``MPI_Alltoall[v]`` (default ``ADAPTIVE_1``).
 """
 
-from repro.mpi.patterns import Phase, CollectiveSpec, P2PSpec, TrafficOp
-from repro.mpi.collectives import (
-    allreduce_flows,
-    alltoall_flows,
-    alltoallv_flows,
-    barrier_flows,
-    bcast_flows,
-    allgather_flows,
-    reduce_flows,
-    gather_flows,
-    scatter_flows,
-)
-from repro.mpi.env import RoutingEnv
-from repro.mpi.api import SimComm, Request
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Phase",
-    "CollectiveSpec",
-    "P2PSpec",
-    "TrafficOp",
-    "allreduce_flows",
-    "alltoall_flows",
-    "alltoallv_flows",
-    "barrier_flows",
-    "bcast_flows",
-    "allgather_flows",
-    "reduce_flows",
-    "gather_flows",
-    "scatter_flows",
-    "RoutingEnv",
-    "SimComm",
-    "Request",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".patterns": "Phase CollectiveSpec P2PSpec TrafficOp",
+    ".collectives": "allreduce_flows alltoall_flows alltoallv_flows barrier_flows "
+    "bcast_flows allgather_flows reduce_flows gather_flows scatter_flows",
+    ".env": "RoutingEnv",
+    ".api": "SimComm Request",
+})

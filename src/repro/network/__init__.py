@@ -17,23 +17,11 @@ the per-router per-tile-class counter bank mirroring Aries hardware
 counters.
 """
 
-from repro.network.congestion import CongestionModel, FLIT_BYTES, PACKET_BYTES
-from repro.network.counters import CounterBank, CounterSnapshot, TILE_CLASSES
-from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
-from repro.network.packet_sim import PacketSimulator, PacketSimConfig, InjectionSpec
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CongestionModel",
-    "FLIT_BYTES",
-    "PACKET_BYTES",
-    "CounterBank",
-    "CounterSnapshot",
-    "TILE_CLASSES",
-    "FlowSet",
-    "FluidParams",
-    "FluidResult",
-    "solve_fluid",
-    "PacketSimulator",
-    "PacketSimConfig",
-    "InjectionSpec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".congestion": "CongestionModel FLIT_BYTES PACKET_BYTES",
+    ".counters": "CounterBank CounterSnapshot TILE_CLASSES",
+    ".fluid": "FlowSet FluidParams FluidResult solve_fluid",
+    ".packet_sim": "PacketSimulator PacketSimConfig InjectionSpec",
+})

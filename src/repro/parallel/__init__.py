@@ -14,16 +14,11 @@ determinism contract; the short version:
   are order-independent.
 """
 
-from repro.core.pipeline import RunTask, TaskResult
-from repro.parallel.campaign import run_campaign_parallel
-from repro.parallel.ensembles import run_ensembles
-from repro.parallel.executor import TaskOutcome, run_tasks
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RunTask",
-    "TaskOutcome",
-    "TaskResult",
-    "run_campaign_parallel",
-    "run_ensembles",
-    "run_tasks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.pipeline": "RunTask TaskResult",
+    ".campaign": "run_campaign_parallel",
+    ".ensembles": "run_ensembles",
+    ".executor": "TaskOutcome run_tasks",
+})

@@ -65,6 +65,10 @@ class _CampaignContext:
 
     def __init__(self, job: CampaignJob) -> None:
         job.background.build()
+        # the pool build loaded the engine; numpy loads numpy.ma on the
+        # first np.unique, which the pool build does not call, so load
+        # it here once rather than in every forked worker
+        import numpy.ma  # noqa: F401
         self.job = job
         self.trace_enabled = job.tel.trace.enabled
         self.metrics_enabled = job.tel.metrics.enabled

@@ -14,33 +14,13 @@ The paper's production/isolated/controlled distinction is entirely about
   routing it with the system-default mode through the fluid engine.
 """
 
-from repro.scheduler.placement import (
-    compact_placement,
-    dispersed_placement,
-    random_placement,
-    production_placement,
-    groups_spanned,
-    FreeNodePool,
-)
-from repro.scheduler.workload import WorkloadModel, JobSizeMix
-from repro.scheduler.jobs import Job, JobLog
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.scheduler.simulator import BatchScheduler, ScheduleTrace, ScheduledJob
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "compact_placement",
-    "dispersed_placement",
-    "random_placement",
-    "production_placement",
-    "groups_spanned",
-    "FreeNodePool",
-    "WorkloadModel",
-    "JobSizeMix",
-    "Job",
-    "JobLog",
-    "BackgroundModel",
-    "BackgroundScenario",
-    "BatchScheduler",
-    "ScheduleTrace",
-    "ScheduledJob",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".placement": "compact_placement dispersed_placement random_placement "
+    "production_placement groups_spanned FreeNodePool",
+    ".workload": "WorkloadModel JobSizeMix",
+    ".jobs": "Job JobLog",
+    ".background": "BackgroundModel BackgroundScenario",
+    ".simulator": "BatchScheduler ScheduleTrace ScheduledJob",
+})

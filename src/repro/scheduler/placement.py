@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.dragonfly import DragonflyTopology
+from repro.util.validation import UnknownNameError
 
 
 class FreeNodePool:
@@ -190,5 +191,5 @@ def make_placement(
         "production": production_placement,
     }
     if kind not in table:
-        raise KeyError(f"unknown placement {kind!r}; have {sorted(table)}")
+        raise UnknownNameError(f"unknown placement {kind!r}; have {sorted(table)}")
     return table[kind](top, n_nodes, rng, pool=pool)

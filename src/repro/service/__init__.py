@@ -20,20 +20,12 @@ Three layers, each usable on its own (see ``docs/SERVICE.md``):
   on SIGTERM (see ``docs/CHAOS.md``).
 """
 
-from repro.core.checkpoint import StoreUnavailableError
-from repro.service.executor import CacheOutcome, run_campaign_cached
-from repro.service.http import CampaignService, ServiceDraining
-from repro.service.journal import JobJournal
-from repro.service.store import CacheStats, RunRecordStore, entry_key
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CacheOutcome",
-    "CacheStats",
-    "CampaignService",
-    "JobJournal",
-    "RunRecordStore",
-    "ServiceDraining",
-    "StoreUnavailableError",
-    "entry_key",
-    "run_campaign_cached",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.util.durable": "StoreUnavailableError",
+    ".executor": "CacheOutcome run_campaign_cached",
+    ".http": "CampaignService ServiceDraining",
+    ".journal": "JobJournal",
+    ".store": "CacheStats RunRecordStore entry_key",
+})

@@ -41,8 +41,8 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.chaos.failpoints import failpoint
-from repro.core.checkpoint import StoreUnavailableError
 from repro.util import durable
+from repro.util.durable import StoreUnavailableError
 
 __all__ = ["CacheStats", "RunRecordStore", "StoreUnavailableError", "entry_key"]
 
@@ -224,7 +224,7 @@ class RunRecordStore:
         deterministic duplicate is byte-identical, and skipping the
         write preserves the original's LRU age).
 
-        Raises :class:`~repro.core.checkpoint.StoreUnavailableError`
+        Raises :class:`~repro.util.durable.StoreUnavailableError`
         when the filesystem fails the commit (ENOSPC/EIO); the scratch
         file is removed first, so a failed put leaves nothing behind.
         """

@@ -19,93 +19,18 @@ boolean check per instrumented span, so un-instrumented runs behave
 exactly as before.  See ``docs/OBSERVABILITY.md`` for the event schema.
 """
 
-from repro.telemetry.context import (
-    NULL_TELEMETRY,
-    Telemetry,
-    current_telemetry,
-    resolve_telemetry,
-    set_current_telemetry,
-    use_telemetry,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.exporter import OPENMETRICS_CONTENT_TYPE, MetricsExporter
-from repro.telemetry.series import (
-    CadenceRecorder,
-    CounterSeries,
-    QuantileSketch,
-    SeriesConfig,
-    SeriesWindow,
-)
-from repro.telemetry.report import (
-    ConvergenceSummary,
-    DistSummary,
-    TraceSummary,
-    format_summary,
-    order_events,
-    summarize_trace,
-)
-from repro.telemetry.stream import (
-    BusTraceWriter,
-    CampaignProgress,
-    EventBus,
-    TraceTail,
-)
-from repro.telemetry.trace import (
-    NULL_TRACE,
-    JsonlTraceWriter,
-    LoggingTraceWriter,
-    MemoryTraceWriter,
-    MultiTraceWriter,
-    NullTraceWriter,
-    TraceScan,
-    TraceWriter,
-    read_trace,
-    scan_trace,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "NULL_TELEMETRY",
-    "NULL_TRACE",
-    "DEFAULT_BUCKETS",
-    "OPENMETRICS_CONTENT_TYPE",
-    "BusTraceWriter",
-    "CadenceRecorder",
-    "CampaignProgress",
-    "ConvergenceSummary",
-    "DistSummary",
-    "Counter",
-    "CounterSeries",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonlTraceWriter",
-    "LoggingTraceWriter",
-    "MemoryTraceWriter",
-    "MetricsExporter",
-    "MetricsRegistry",
-    "MultiTraceWriter",
-    "NullTraceWriter",
-    "QuantileSketch",
-    "SeriesConfig",
-    "SeriesWindow",
-    "Telemetry",
-    "TraceScan",
-    "TraceSummary",
-    "TraceTail",
-    "TraceWriter",
-    "current_telemetry",
-    "format_summary",
-    "order_events",
-    "read_trace",
-    "resolve_telemetry",
-    "scan_trace",
-    "set_current_telemetry",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".context": "NULL_TELEMETRY Telemetry current_telemetry resolve_telemetry "
+    "set_current_telemetry use_telemetry",
+    ".metrics": "DEFAULT_BUCKETS Counter Gauge Histogram MetricsRegistry",
+    ".exporter": "OPENMETRICS_CONTENT_TYPE MetricsExporter",
+    ".series": "CadenceRecorder CounterSeries QuantileSketch SeriesConfig SeriesWindow",
+    ".report": "ConvergenceSummary DistSummary TraceSummary format_summary order_events "
     "summarize_trace",
-    "use_telemetry",
-]
+    ".stream": "BusTraceWriter CampaignProgress EventBus TraceTail",
+    ".trace": "NULL_TRACE JsonlTraceWriter LoggingTraceWriter MemoryTraceWriter "
+    "MultiTraceWriter NullTraceWriter RingTraceWriter TraceScan TraceWriter read_trace "
+    "scan_trace",
+})

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.series import SeriesConfig
 from repro.telemetry.trace import NULL_TRACE, TraceWriter
+
+if TYPE_CHECKING:
+    from repro.telemetry.series import SeriesConfig
 
 
 @dataclass

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
@@ -116,6 +117,25 @@ class MemoryTraceWriter(TraceWriter):
 
     def of_type(self, event: str) -> list[dict]:
         return [e for e in self.events if e["ev"] == event]
+
+
+class RingTraceWriter(TraceWriter):
+    """Trace sink that keeps only the last ``maxlen`` events.
+
+    Attached alongside a run's real sinks so that a diagnostics bundle
+    can include recent engine activity without the campaign having to
+    persist full traces for every run that might fail.
+    """
+
+    def __init__(self, maxlen: int = 64) -> None:
+        super().__init__()
+        self.events: deque[dict] = deque(maxlen=maxlen)
+
+    def write_event(self, record: dict) -> None:
+        self.events.append(record)
+
+    def tail(self) -> list[dict]:
+        return list(self.events)
 
 
 class LoggingTraceWriter(TraceWriter):

@@ -20,36 +20,13 @@ This subpackage provides:
   normalizing counters per tile.
 """
 
-from repro.topology.dragonfly import (
-    DragonflyParams,
-    DragonflyTopology,
-    LinkClass,
-)
-from repro.topology.systems import theta, cori, mini, toy, slingshot
-from repro.topology.paths import PathBundle, minimal_paths, valiant_paths
-from repro.topology.tiles import TileInventory
-from repro.topology.queries import (
-    minimal_router_hops,
-    minimal_path_diversity,
-    placement_geometry,
-    bisection_cut,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DragonflyParams",
-    "DragonflyTopology",
-    "LinkClass",
-    "theta",
-    "cori",
-    "mini",
-    "toy",
-    "slingshot",
-    "PathBundle",
-    "minimal_paths",
-    "valiant_paths",
-    "TileInventory",
-    "minimal_router_hops",
-    "minimal_path_diversity",
-    "placement_geometry",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".dragonfly": "DragonflyParams DragonflyTopology LinkClass",
+    ".systems": "theta cori mini toy slingshot",
+    ".paths": "PathBundle minimal_paths valiant_paths",
+    ".tiles": "TileInventory",
+    ".queries": "minimal_router_hops minimal_path_diversity placement_geometry "
     "bisection_cut",
-]
+})

@@ -16,13 +16,11 @@ share.  The failpoints sit at the interesting instants of a commit:
   (``post_tmp`` / the append site) — the torn-write window;
 * after fsync but before the rename publishes the data
   (``pre_rename``) — a crash here loses nothing visible.
-
-Not re-exported from :mod:`repro.util`: this module imports
-:mod:`repro.chaos.failpoints`, whose package imports ``repro.util.rng``.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import time
 import uuid
@@ -35,6 +33,25 @@ from repro.chaos.failpoints import failpoint
 #: scratch older than this belongs to a dead writer; a live commit holds
 #: its scratch for milliseconds
 SCRATCH_MAX_AGE_S = 60.0
+
+
+class StoreUnavailableError(OSError):
+    """Durable storage failed (ENOSPC/EIO) during a commit.
+
+    The typed wrapper callers catch instead of bare ``OSError``: it
+    names the operation that failed and guarantees the failed commit
+    left no half-written scratch behind (tmp files are cleaned on the
+    error path before this is raised).  Raised by checkpoint writes and
+    :class:`repro.service.store.RunRecordStore` commits.
+    """
+
+    def __init__(self, op: str, exc: OSError) -> None:
+        super().__init__(
+            exc.errno if exc.errno is not None else errno.EIO,
+            f"{op}: {exc.strerror or exc}",
+            getattr(exc, "filename", None),
+        )
+        self.op = op
 
 
 def append_line(path: Path | str, line: str, *, site: str) -> None:

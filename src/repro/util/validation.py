@@ -3,6 +3,17 @@
 from __future__ import annotations
 
 
+class UnknownNameError(KeyError, ValueError):
+    """A lookup by name (app, routing mode, placement, ...) failed.
+
+    A ``KeyError`` to library callers and a ``ValueError`` to the CLI,
+    which reports config errors as one ``error:`` line and exit 2.
+    """
+
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0])
+
+
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``; return it for chaining."""
     if not value > 0:

@@ -116,6 +116,54 @@ class TestCalibrateCommand:
         assert "milc_improvement_pct" in out
 
 
+class TestInputErrors:
+    """Bad CLI input is one ``error:`` line and exit 2, never a traceback."""
+
+    APP = "unknown application 'nosuch'; have ["
+    MODE = "unknown routing mode 'AD9'; expected AD0..AD3"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--app", "nosuch"], APP),
+            (["compare", "--modes", "AD9"], MODE),
+            (["compare", "--modes", "AD0,AD9"], MODE),
+            (["sweep", "--app", "nosuch"], APP),
+            (["sweep", "--modes", "AD9"], MODE),
+            (["advise", "--app", "nosuch"], APP),
+            (["ensemble", "--app", "nosuch"], APP),
+            (["ensemble", "--mode", "AD9"], MODE),
+            (["ensemble", "--modes", "AD0,AD9"], MODE),
+            (["ensemble", "--placement", "bogus", "--jobs", "2", "--nodes", "16"],
+             "unknown placement 'bogus'; have ["),
+            (["chaos", "--schedule", "checkpoint.append:crash:at=1", "--app", "nosuch"], APP),
+            (["chaos", "--schedule", "checkpoint.append:crash:at=1", "--modes", "AD9"], MODE),
+            (["submit", "--url", "http://127.0.0.1:9", "--app", "nosuch"], APP),
+            (["submit", "--url", "http://127.0.0.1:9", "--modes", "AD9"], MODE),
+            (["compare", "--samples", "-1"], "samples (--samples) must be >= 0, got -1"),
+            (["compare", "--nodes", "0"], "n_nodes (--nodes) must be > 0, got 0"),
+            (["sweep", "--nodes", "-4"], "n_nodes (--nodes) must be > 0, got -4"),
+            (["submit", "--url", "http://127.0.0.1:9", "--samples", "-2"],
+             "samples (--samples) must be >= 0, got -2"),
+        ],
+    )
+    def test_one_line_and_exit_2(self, capsys, argv, message):
+        assert main([*argv, "--system", "mini"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_lookups_stay_key_errors_for_library_callers(self):
+        from repro.apps import app_by_name
+        from repro.core.biases import mode_by_name
+
+        with pytest.raises(KeyError):
+            app_by_name("nosuch")
+        with pytest.raises(KeyError):
+            mode_by_name("AD9")
+
+
 class TestSweepModes:
     def test_sweep_has_own_modes_default(self):
         args = build_parser().parse_args(["sweep"])

@@ -7,7 +7,8 @@ those the campaign's samples read (its drawn set) get a fluid solve.
 These tests count :meth:`BackgroundModel.build_scenario` calls and pool
 ``solve_fluid`` calls per process (fork children included, through
 pid-tagged log files) on each path, and check that the CLI never imports
-``scipy`` unless a density is computed.
+``scipy`` unless a density is computed, that each command loads only the
+modules it runs, and that ``-j`` fork children import nothing.
 """
 
 import multiprocessing as mp
@@ -209,8 +210,8 @@ class TestPoolBuiltOnlyWhenNeeded:
         assert counts == {worker.pid: POOL}
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def _python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=120,
@@ -240,3 +241,117 @@ class TestLazyScipy:
         ]
         assert "repro.cli" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def _imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """Modules a ``python -X importtime`` process imported."""
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def _loaded(imported: set[str], names: tuple[str, ...]) -> list[str]:
+    """The ``names`` (packages include their submodules) in ``imported``."""
+    return sorted(
+        m for m in imported for n in names if m == n or m.startswith(n + ".")
+    )
+
+
+class TestModuleSets:
+    """Each command imports only the code it runs (docs/PERFORMANCE.md,
+    "Start-up")."""
+
+    #: the commands as written: $REPRO_JOBS > 1 would select the fork pool
+    ENV = {k: v for k, v in os.environ.items() if k != "REPRO_JOBS"}
+
+    SETUP_UNUSED = (
+        "http.server", "ssl", "scipy", "repro.network.packet_sim",
+        "repro.service", "repro.dist", "repro.parallel",
+        "repro.telemetry.exporter", "repro.telemetry.report",
+        "repro.telemetry.stream", "repro.telemetry.top", "repro.chaos.schedule",
+        "repro.core.facility", "repro.core.ensembles", "repro.core.advisor",
+        "repro.core.calibration",
+    )
+
+    def test_setup_only_compare(self, tmp_path):
+        proc = _python(
+            "-X", "importtime", "-m", "repro", "compare", "--system", "mini",
+            "--nodes", "32", "--samples", "0",
+            "--checkpoint", str(tmp_path / "ck.jsonl"), env=self.ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = _imported(proc)
+        assert {"repro.cli", "repro.core.experiment", "numpy"} <= imported
+        assert _loaded(imported, self.SETUP_UNUSED) == []
+
+    def test_report_skips_numpy(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"ev":"campaign.start","t":0.0}\n')
+        proc = _python(
+            "-X", "importtime", "-m", "repro", "report", str(trace), env=self.ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = _imported(proc)
+        assert "repro.telemetry.report" in imported
+        assert _loaded(imported, ("numpy",)) == []
+
+    def test_worker_skips_the_service(self, tmp_path):
+        qdir = str(tmp_path / "queue")
+        env = {**self.ENV, "PYTHONPATH": str(SRC)}
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro", "compare", "--system", "mini",
+             "--nodes", "32", "--samples", "1", "--seed", "11", "--queue", qdir],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            proc = _python(
+                "-X", "importtime", "-m", "repro", "worker", "--queue", qdir,
+                "--poll", "0.05", env=self.ENV,
+            )
+        finally:
+            coordinator.communicate(timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "committed=2" in proc.stdout
+        imported = _imported(proc)
+        assert "repro.dist.worker" in imported
+        assert _loaded(imported, ("repro.service", "http.server")) == []
+
+
+FORK_PROBE = """
+import functools, os, sys
+import repro.cli
+from repro.parallel import campaign
+
+log = sys.argv[1]
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+real = campaign._run_task
+
+
+@functools.wraps(real)
+def _run_task(task):
+    result = real(task)
+    new = sorted(set(sys.modules) - at_fork)
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()} {' '.join(new)}\\n")
+    return result
+
+
+campaign._run_task = _run_task
+sys.exit(repro.cli.main(sys.argv[2:]))
+"""
+
+
+def test_fork_children_import_nothing(tmp_path):
+    """The ``-j`` parent loads everything its workers run before it forks."""
+    log = tmp_path / "imports.log"
+    proc = _python(
+        "-c", FORK_PROBE, str(log), "compare", "--system", "mini", "--nodes",
+        "32", "--samples", "2", "--seed", "11", "-j", "2",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = log.read_text().splitlines()
+    assert len(lines) == 4  # one per run
+    assert [line.split(" ", 1)[1] for line in lines] == [""] * 4
