@@ -83,8 +83,11 @@ def _app(name: str):
 
 def _modes(spec: str) -> tuple:
     from repro.core.biases import mode_by_name
+    from repro.util.validation import check_unique
 
-    return tuple(mode_by_name(m) for m in spec.split(","))
+    modes = tuple(mode_by_name(m) for m in spec.split(","))
+    check_unique("modes (--modes)", [m.name for m in modes])
+    return modes
 
 
 def _faults_from_args(args) -> FaultSchedule | None:
@@ -306,48 +309,13 @@ def _ensemble_lines(args, app, mode, faults, res) -> list[str]:
 
 
 def cmd_ensemble(args) -> int:
-    import json
-
+    from repro.core import checkpoint as ckpt
     from repro.core.ensembles import EnsembleConfig
-    from repro.core.experiment import _effective_jobs
     from repro.parallel import run_ensembles
-    from repro.util import durable
 
     top = _system(args.system)
     app = _app(args.app)
-    modes = _modes(args.modes or args.mode)
     faults = _faults_from_args(args)
-    fingerprint = {
-        "kind": "ensemble",
-        "system": args.system,
-        "app": app.name,
-        "jobs": args.jobs,
-        "nodes": args.nodes,
-        "mode": ",".join(m.name for m in modes),
-        "placement": args.placement,
-        "seed": args.seed,
-        "faults": faults.describe() if faults else "",
-    }
-    ck = Path(args.checkpoint) if args.checkpoint else None
-    outputs: dict[str, list[str]] = {}
-    if ck is not None and args.resume and ck.exists():
-        saved = json.loads(ck.read_text())
-        if saved.get("config") != fingerprint:
-            raise ValueError(
-                f"checkpoint {ck} was written by a different ensemble config"
-            )
-        if "outputs" in saved:
-            outputs = {k: list(v) for k, v in saved["outputs"].items()}
-        elif "output" in saved:
-            # single-mode format written before mode sweeps existed
-            outputs = {modes[0].name: list(saved["output"])}
-        print(f"(resumed from {ck})")
-        for mode in modes:
-            if mode.name in outputs:
-                print("\n".join(outputs[mode.name]))
-    remaining = [m for m in modes if m.name not in outputs]
-    if not remaining:
-        return 0
     cfgs = [
         EnsembleConfig(
             app=app,
@@ -358,21 +326,41 @@ def cmd_ensemble(args) -> int:
             seed=args.seed,
             faults=faults,
         )
-        for mode in remaining
+        for mode in _modes(args.modes or args.mode)
     ]
+    fingerprint = {
+        "kind": "ensemble",
+        "system": args.system,
+        "app": app.name,
+        "jobs": args.jobs,
+        "nodes": args.nodes,
+        "mode": ",".join(cfg.mode.name for cfg in cfgs),
+        "placement": args.placement,
+        "seed": args.seed,
+        "faults": faults.describe() if faults else "",
+    }
+    ck = Path(args.checkpoint) if args.checkpoint else None
+    done = {}
+    if ck is not None:
+        resumed = args.resume and ck.exists()
+        done = ckpt.prepare(ck, fingerprint, args.resume, ckpt.OUTPUT_LINES)
+        if resumed:
+            print(f"(resumed from {ck})")
+            for cfg in cfgs:
+                if cfg.mode.name in done:
+                    print("\n".join(done[cfg.mode.name]["lines"]))
+    remaining = [cfg for cfg in cfgs if cfg.mode.name not in done]
 
     def on_result(idx, res):
-        lines = _ensemble_lines(args, app, remaining[idx], faults, res)
+        mode = remaining[idx].mode
+        lines = _ensemble_lines(args, app, mode, faults, res)
         print("\n".join(lines))
-        outputs[remaining[idx].name] = lines
         if ck is not None:
-            # replaced atomically after every completed ensemble, so an
-            # interrupt or a failed write leaves a resumable prefix
-            durable.write_atomic(
-                ck, json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
-            )
+            # one line per finished ensemble, so an interrupt or a failed
+            # append leaves a resumable prefix
+            ckpt.append_record(ck, {"mode": mode.name, "lines": lines}, ckpt.OUTPUT_LINES)
 
-    run_ensembles(top, cfgs, jobs=_effective_jobs(args.workers), on_result=on_result)
+    run_ensembles(top, remaining, jobs=args.workers, on_result=on_result)
     return 0
 
 

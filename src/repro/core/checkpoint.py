@@ -1,7 +1,9 @@
-"""JSONL campaign checkpointing: crash-tolerant sweeps.
+"""JSONL checkpointing: crash-tolerant sweeps.
 
-A checkpoint file is one header line (the campaign's config fingerprint)
-followed by one JSON object per completed run.  Records are appended as
+A checkpoint file is one header line (the config fingerprint) followed
+by one JSON object per completed task, in a kind's :class:`LineCodec`:
+:data:`RUN_RECORDS` (campaign runs, the default) or :data:`OUTPUT_LINES`
+(an ensemble sweep's output per mode).  Records are appended as
 they finish, so a killed campaign can be resumed with ``--resume``: runs
 already present (status ``ok``) are loaded back verbatim and skipped;
 everything else re-runs.  Because every run's RNG stream is derived
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -148,19 +151,42 @@ def record_from_dict(d: dict[str, Any]) -> Any:
     )
 
 
+@dataclass(frozen=True)
+class LineCodec:
+    """How one kind's results become checkpoint lines and back."""
+
+    encode: Callable[[Any], dict]
+    decode: Callable[[dict], Any]
+    #: the slot a result fills; a later line overrides an earlier one
+    key: Callable[[Any], Hashable]
+    #: whether a loaded result counts as done (the rest re-run on resume)
+    done: Callable[[Any], bool]
+
+
+#: campaign runs: only ``ok`` records count as done
+RUN_RECORDS = LineCodec(
+    record_to_dict, record_from_dict, lambda r: (r.sample_index, r.mode),
+    lambda r: r.status == "ok",
+)
+#: an ensemble sweep: one ``{"mode", "lines"}`` object per finished mode
+OUTPUT_LINES = LineCodec(dict, dict, lambda d: d["mode"], lambda d: True)
+
+
 def write_header(path: str | os.PathLike, fingerprint: dict[str, Any]) -> None:
     """Start a fresh checkpoint file, atomically replacing any existing one."""
     rewrite(path, fingerprint, [])
 
 
-def append_record(path: str | os.PathLike, rec: Any) -> None:
-    """Append one finished run, flushed so a crash loses at most one line.
+def append_record(
+    path: str | os.PathLike, rec: Any, codec: LineCodec = RUN_RECORDS
+) -> None:
+    """Append one finished task, flushed so a crash loses at most one line.
 
     Raises :class:`StoreUnavailableError` when the filesystem fails the
     append (ENOSPC/EIO); a torn partial line may remain, which the next
     ``--resume`` removes via :func:`repair_tail`.
     """
-    line = json.dumps(record_to_dict(rec)) + "\n"
+    line = json.dumps(codec.encode(rec)) + "\n"
     try:
         durable.append_line(path, line, site="checkpoint.append")
     except OSError as exc:
@@ -205,6 +231,7 @@ def rewrite(
     path: str | os.PathLike,
     fingerprint: dict[str, Any],
     records: list[Any],
+    codec: LineCodec = RUN_RECORDS,
 ) -> None:
     """Atomically replace a checkpoint with header + the given records.
 
@@ -214,7 +241,7 @@ def rewrite(
     write leaves the previous checkpoint intact.
     """
     lines = [json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})]
-    lines += [json.dumps(record_to_dict(rec)) for rec in records]
+    lines += [json.dumps(codec.encode(rec)) for rec in records]
     try:
         durable.write_atomic(
             path, "\n".join(lines) + "\n", pre_rename="checkpoint.rewrite"
@@ -224,12 +251,13 @@ def rewrite(
 
 
 def load_records(
-    path: str | os.PathLike, fingerprint: dict[str, Any]
-) -> dict[tuple[int, str], Any]:
-    """Load completed runs keyed by ``(sample_index, mode)``.
+    path: str | os.PathLike, fingerprint: dict[str, Any], codec: LineCodec = RUN_RECORDS
+) -> dict[Hashable, Any]:
+    """Load completed tasks keyed by ``codec.key``: ``(sample_index,
+    mode)`` for campaign runs.
 
-    Only ``status == "ok"`` records are returned (failed runs re-run on
-    resume); later records override earlier ones for the same key.
+    Only results ``codec.done`` accepts are returned (failed runs re-run
+    on resume); later lines override earlier ones for the same key.
     Raises ``ValueError`` on a header/fingerprint mismatch or on
     corruption anywhere but the final (possibly crash-truncated) line.
     """
@@ -248,7 +276,7 @@ def load_records(
             f"checkpoint {path} was written by a different campaign config: "
             f"{header.get('config')} != {fingerprint}"
         )
-    out: dict[tuple[int, str], Any] = {}
+    out: dict[Hashable, Any] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -258,7 +286,26 @@ def load_records(
             if lineno == len(lines):
                 break  # crash-truncated tail; the run simply re-runs
             raise ValueError(f"checkpoint {path} is corrupt at line {lineno}")
-        rec = record_from_dict(d)
-        if rec.status == "ok":
-            out[(rec.sample_index, rec.mode)] = rec
+        rec = codec.decode(d)
+        if codec.done(rec):
+            out[codec.key(rec)] = rec
     return out
+
+
+def prepare(
+    path: str | os.PathLike, fingerprint: dict[str, Any], resume: bool,
+    codec: LineCodec = RUN_RECORDS,
+) -> dict[Hashable, Any]:
+    """Start a fresh checkpoint, or resume one; returns the done tasks.
+
+    A resume truncates a tail torn by a crash mid-append before reading,
+    then atomically rewrites the file without error and superseded lines
+    (a crash mid-rewrite keeps the old file).
+    """
+    if resume and os.path.exists(path):
+        repair_tail(path)
+        done = load_records(path, fingerprint, codec)
+        rewrite(path, fingerprint, list(done.values()), codec)
+        return done
+    write_header(path, fingerprint)
+    return {}

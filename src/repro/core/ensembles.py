@@ -12,18 +12,25 @@ from the equilibrium.
 LDMS-style sampling distributes the accumulated counters over the
 ensemble makespan at the collector's cadence, reproducing the per-router
 scatter data behind the paper's Figs. 10 and 12.
+
+A list of ensembles is a job kind of the pipeline
+(:mod:`repro.core.pipeline`): each config derives its RNG from its own
+fields, so :func:`run_ensembles` runs them on any backend and delivers
+them in list order, identical to a serial loop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.apps.base import Application
 from repro.core.biases import AD0, RoutingMode
 from repro.core.experiment import PhaseTiming, phase_slices, phase_times_from_result
+from repro.core.pipeline import MISS, Merger, Plan, RunTask, select_backend
 from repro.faults import FaultSchedule
 from repro.monitoring.ldms import LdmsCollector
 from repro.mpi.env import RoutingEnv
@@ -32,7 +39,7 @@ from repro.network.fluid import FlowSet, FluidParams, solve_fluid
 from repro.scheduler.placement import FreeNodePool, make_placement
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.topology.dragonfly import DragonflyTopology
-from repro.util import derive_rng
+from repro.util import check_positive, derive_rng
 
 
 @dataclass
@@ -53,6 +60,7 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        check_positive("n_nodes (--nodes)", self.n_nodes)
 
 
 @dataclass
@@ -211,3 +219,64 @@ def run_ensemble(
         bank=bank,
         ldms=ldms,
     )
+
+
+@dataclass
+class EnsembleJob:
+    """The ensemble kind: task ``i`` runs ``cfgs[i]``; the fold hands
+    each result to ``on_result`` in list order."""
+
+    top: DragonflyTopology
+    cfgs: list[EnsembleConfig]
+    tel: Telemetry
+    on_result: Callable[[int, EnsembleResult], None] | None = None
+    worker_ids: dict = field(default_factory=dict)
+    #: no watchdog and no diagnostics bundles
+    guard = None
+
+    def prepare(self) -> None:
+        """Nothing to share: each ensemble builds its own state."""
+
+    def execute(self, task: RunTask, tel: Telemetry) -> EnsembleResult:
+        return run_ensemble(self.top, self.cfgs[task.index], telemetry=tel)
+
+    def lost(self, outcome: Any) -> EnsembleResult:
+        # an ensemble has no per-run error record to degrade into
+        raise RuntimeError(
+            f"ensemble {outcome.task.index} lost its worker process "
+            f"{outcome.attempts} times"
+        ) from outcome.error
+
+    def fold(self, index: int, res: EnsembleResult) -> None:
+        if self.on_result is not None:
+            self.on_result(index, res)
+
+
+def run_ensembles(
+    top: DragonflyTopology,
+    cfgs: list[EnsembleConfig],
+    *,
+    jobs: int | None = None,
+    telemetry: Telemetry | None = None,
+    on_result: Callable[[int, EnsembleResult], None] | None = None,
+    scramble_seed: int | None = None,
+) -> list[EnsembleResult]:
+    """Run every ensemble config; returns results in list order.
+
+    ``jobs`` > 1 (``None`` reads ``$REPRO_JOBS``) runs them on the fork
+    pool; worker trace events are forwarded with ``worker``/``run_index``
+    tags and worker metrics merged in list order, as for a campaign.
+    ``on_result`` sees each result in list order as soon as its prefix
+    is complete.  A worker process dying repeatedly raises
+    ``RuntimeError``.  ``scramble_seed`` shuffles a pool's completions
+    (a test hook that must not change any output).
+    """
+    plan = Plan()
+    for cfg in cfgs:
+        plan.add(None, MISS, 0, cfg.mode.name)
+    backend = select_backend(jobs, None)
+    if scramble_seed is not None and hasattr(backend, "scramble_seed"):
+        backend.scramble_seed = scramble_seed
+    job = EnsembleJob(top, list(cfgs), resolve_telemetry(telemetry), on_result)
+    Merger(plan, job).drain(backend)
+    return plan.records

@@ -37,7 +37,7 @@ from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.scheduler.placement import groups_spanned, make_placement
 from repro.telemetry import MultiTraceWriter, RingTraceWriter, Telemetry
 from repro.topology.dragonfly import DragonflyTopology
-from repro.util import check_nonnegative, check_positive, derive_rng
+from repro.util import check_nonnegative, check_positive, check_unique, derive_rng
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
@@ -396,6 +396,8 @@ class CampaignConfig:
         # named after their CLI flags: a bad value is a config error (exit 2)
         check_nonnegative("samples (--samples)", self.samples)
         check_positive("n_nodes (--nodes)", self.n_nodes)
+        # a repeated mode would pool its runs and collapse in a checkpoint
+        check_unique("modes (--modes)", [m.name for m in self.modes])
 
 
 def campaign_fingerprint(top: DragonflyTopology, cfg: CampaignConfig) -> dict:
@@ -798,20 +800,9 @@ def prepare_checkpoint(
     resume: bool,
 ) -> dict[tuple[int, str], RunRecord]:
     """Open (or resume) a campaign checkpoint; returns completed runs."""
-    done: dict[tuple[int, str], RunRecord] = {}
     if checkpoint_path is None:
-        return done
-    fp = campaign_fingerprint(top, cfg)
-    if resume and os.path.exists(checkpoint_path):
-        # a crash mid-append may have torn the final line: truncate it
-        # before reading, then atomically rewrite without error and
-        # superseded records (a crash mid-rewrite keeps the old file)
-        ckpt.repair_tail(checkpoint_path)
-        done = ckpt.load_records(checkpoint_path, fp)
-        ckpt.rewrite(checkpoint_path, fp, list(done.values()))
-    else:
-        ckpt.write_header(checkpoint_path, fp)
-    return done
+        return {}
+    return ckpt.prepare(checkpoint_path, campaign_fingerprint(top, cfg), resume)
 
 
 def emit_campaign_start(

@@ -1,23 +1,30 @@
-"""The one campaign pipeline: plan the slots, run the misses, merge in order.
+"""The one pipeline: plan the slots, run the misses, merge in order.
 
 Every campaign entry point is :func:`run_pipeline` with a different
 backend: :func:`repro.core.experiment.run_campaign` (serial, or whatever
 :func:`select_backend` picks), :func:`repro.parallel.run_campaign_parallel`,
 :func:`repro.dist.run_campaign_distributed` and
-:func:`repro.service.run_campaign_cached`.  Three parts:
+:func:`repro.service.run_campaign_cached`.  A *job* is one kind of work:
+it prepares the parent before a fork, executes one task, answers for a
+task whose worker kept dying, and folds each result in canonical order.
+:class:`CampaignJob` is the campaign kind;
+:class:`repro.core.ensembles.EnsembleJob` runs controlled ensembles on
+the same backends and merger.  Three parts:
 
 * the **planner** (:func:`plan_campaign`) labels every canonical
   (sample-major, mode-minor) slot ``resume`` (already in the checkpoint),
   ``hit`` (served by an optional cache filter) or ``miss``.  Every cache
   lookup happens here, before anything is dispatched;
 * a **backend** turns the misses into :class:`TaskResult` s, in any
-  order: :class:`InlineBackend` here, ``PoolBackend`` (the fork pool) in
-  :mod:`repro.parallel.campaign`, ``DistDispatcher`` (the shared-directory
-  queue) in :mod:`repro.dist.coordinator`;
+  order, by calling the job: :class:`InlineBackend` here, ``PoolBackend``
+  (the fork pool) in :mod:`repro.parallel.campaign`, ``DistDispatcher``
+  (the shared-directory queue, campaigns only) in
+  :mod:`repro.dist.coordinator`;
 * the **merger** (:class:`Merger`) commits the contiguous completed
-  prefix in canonical order: checkpoint lines (cache hits included),
-  worker trace events forwarded with a dense ``worker`` id and the
-  ``run_index``, and worker metrics merged by run index.
+  prefix in canonical order through the job's fold (a campaign appends
+  checkpoint lines, cache hits included), forwarding worker trace
+  events with a dense ``worker`` id and the ``run_index``, and merging
+  worker metrics once per run.
 
 The checkpoint is therefore at every instant a prefix of the serial
 file, and the records and bytes a campaign ends with do not depend on
@@ -28,6 +35,7 @@ with a cache it creates no queue either.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol
@@ -38,11 +46,13 @@ from repro.core.experiment import (
     CampaignConfig,
     RunRecord,
     _effective_jobs,
+    _write_guard_bundle,
     emit_campaign_end,
     emit_campaign_start,
     execute_run,
     prepare_checkpoint,
 )
+from repro.guard.policy import GuardPolicy
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.telemetry import MetricsRegistry, Telemetry, resolve_telemetry
 from repro.topology.dragonfly import DragonflyTopology
@@ -56,7 +66,8 @@ class RunTask:
 
     ``index`` is the run's position in the canonical (sample-major,
     mode-minor) order — the order the serial loop executes and the
-    order checkpoint records are flushed in.
+    order checkpoint records are flushed in.  An ensemble task is one
+    config of the list (``sample`` 0, its ``mode``).
     """
 
     index: int
@@ -68,14 +79,15 @@ class RunTask:
 class TaskResult:
     """A backend's answer for one miss.
 
-    ``worker`` keys the dense worker id the run's ``events`` are tagged
-    with (a pool worker's pid, a queue owner's name).  A run executed
-    under the campaign's own telemetry carries no events or metrics.
+    ``record`` is what the job's ``execute`` returned.  ``worker`` keys
+    the dense worker id the run's ``events`` are tagged with (a pool
+    worker's pid, a queue owner's name).  A run executed under the job's
+    own telemetry carries no events or metrics.
     """
 
     index: int
     worker: Any
-    record: RunRecord
+    record: Any
     events: list[dict] = field(default_factory=list)
     metrics: MetricsRegistry | None = None
     #: executions it took to get the result (>1 after a worker died)
@@ -86,15 +98,22 @@ class TaskResult:
 class Plan:
     """Every canonical slot, labelled; the merger fills in the misses."""
 
-    slots: list[RunRecord | None] = field(default_factory=list)
+    slots: list[Any] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
     misses: list[RunTask] = field(default_factory=list)
 
     def count(self, label: str) -> int:
         return self.labels.count(label)
 
+    def add(self, rec: Any, label: str, sample: int, mode: str) -> None:
+        """Append the next canonical slot; a ``miss`` also becomes a task."""
+        if label == MISS:
+            self.misses.append(RunTask(index=len(self.slots), sample=sample, mode=mode))
+        self.slots.append(rec)
+        self.labels.append(label)
+
     @property
-    def records(self) -> list[RunRecord]:
+    def records(self) -> list[Any]:
         return [rec for rec in self.slots if rec is not None]
 
 
@@ -111,9 +130,32 @@ class CacheFilter(Protocol):
     def put(self, tel: Telemetry, rec: RunRecord) -> None: ...
 
 
+class Job(Protocol):
+    """One kind of work, as the backends and the merger call it:
+    ``prepare`` builds in the parent what forked workers inherit,
+    ``execute`` runs one task under a telemetry, ``lost`` answers for a
+    task whose worker kept dying, and ``fold`` commits each result (a
+    fresh one or a cache hit) in canonical order."""
+
+    tel: Telemetry
+    #: dense worker ids, shared by the merger's event tags and a queue
+    #: backend's ``dist.worker`` sightings so the two always agree
+    worker_ids: dict
+    #: the active guard policy (watchdog, bundles), or None
+    guard: GuardPolicy | None
+
+    def prepare(self) -> None: ...
+
+    def execute(self, task: RunTask, tel: Telemetry) -> Any: ...
+
+    def lost(self, outcome: Any) -> Any: ...
+
+    def fold(self, index: int, rec: Any) -> None: ...
+
+
 @dataclass
 class CampaignJob:
-    """What a backend gets to execute a campaign's misses with."""
+    """The campaign kind: its fold appends each record to the checkpoint."""
 
     top: DragonflyTopology
     #: the degraded view the job routes on (``top`` when fault-free)
@@ -121,33 +163,71 @@ class CampaignJob:
     cfg: CampaignConfig
     background: CampaignBackground
     tel: Telemetry
-    #: dense worker ids, shared by the merger's event tags and a queue
-    #: backend's ``dist.worker`` sightings so the two always agree
-    worker_ids: dict
+    checkpoint_path: str | None = None
+    worker_ids: dict = field(default_factory=dict)
+
+    @property
+    def guard(self) -> GuardPolicy | None:
+        guard = self.cfg.guard
+        return guard if guard is not None and guard.active else None
+
+    def prepare(self) -> None:
+        """Build the background pool, so every forked worker shares it."""
+        self.background.build()
+        # the pool build loaded the engine; numpy loads numpy.ma on the
+        # first np.unique, which the pool build does not call, so load
+        # it here once rather than in every forked worker
+        import numpy.ma  # noqa: F401
+
+    def execute(self, task: RunTask, tel: Telemetry) -> RunRecord:
+        nodes, bg, intensity = self.background.draws(task.sample)
+        mode = next(m for m in self.cfg.modes if m.name == task.mode)
+        return execute_run(
+            self.top, self.run_top, self.cfg, task.sample, mode, nodes, bg,
+            intensity, tel,
+        )
+
+    def lost(self, outcome: Any) -> RunRecord:
+        """A run whose worker process kept dying (crash or watchdog kill),
+        isolated exactly like an in-run failure would be."""
+        task = outcome.task
+        rec = self.background.lost_record(
+            task.sample, task.mode, outcome.error, outcome.attempts
+        )
+        label = f"{self.cfg.app.name}-{task.mode}-s{task.sample}"
+        self.tel.event(
+            "guard.worker_lost", label=label, sample=task.sample, mode=task.mode,
+            attempts=outcome.attempts, error=str(outcome.error),
+        )
+        _write_guard_bundle(
+            self.top, self.cfg, self.guard, None, None, label, task.sample,
+            task.mode, outcome.attempts, outcome.error, self.tel,
+        )
+        return rec
+
+    def fold(self, index: int, rec: RunRecord) -> None:
+        if self.checkpoint_path is not None:
+            ckpt.append_record(self.checkpoint_path, rec)
 
 
 class Backend(Protocol):
     #: extra ``campaign.start`` fields naming the backend
     start_fields: dict
 
-    def run(self, job: CampaignJob, misses: list[RunTask]) -> Iterator[TaskResult]: ...
+    def run(self, job: Job, misses: list[RunTask]) -> Iterator[TaskResult]: ...
 
 
 class InlineBackend:
     """Misses executed in this process, in canonical order, under the
-    campaign's own telemetry (so their events stay untagged)."""
+    job's own telemetry (so their events stay untagged)."""
 
     start_fields: dict = {}
 
-    def run(self, job: CampaignJob, misses: list[RunTask]) -> Iterator[TaskResult]:
-        modes = {m.name: m for m in job.cfg.modes}
+    def run(self, job: Job, misses: list[RunTask]) -> Iterator[TaskResult]:
         for task in misses:
-            nodes, bg, intensity = job.background.draws(task.sample)
-            rec = execute_run(
-                job.top, job.run_top, job.cfg, task.sample, modes[task.mode],
-                nodes, bg, intensity, job.tel,
+            yield TaskResult(
+                index=task.index, worker=None, record=job.execute(task, job.tel)
             )
-            yield TaskResult(index=task.index, worker=None, record=rec)
 
 
 def select_backend(jobs: int | None, queue_dir: str | None, **queue_opts) -> Backend:
@@ -179,24 +259,37 @@ def plan_campaign(
             rec, label = done.get((i, mode.name)), RESUME
             if rec is None and cache is not None:
                 rec, label = cache.lookup(i, mode.name), HIT
-            if rec is None:
-                label = MISS
-                plan.misses.append(RunTask(index=len(plan.slots), sample=i, mode=mode.name))
-            plan.slots.append(rec)
-            plan.labels.append(label)
+            plan.add(rec, MISS if rec is None else label, i, mode.name)
     return plan
 
 
-class Merger:
-    """Commits a plan's contiguous completed prefix, in canonical order."""
+#: one id per merger: a registry shared by several merges (campaigns in
+#: a row, an ensemble after a campaign) dedupes each merge's run indices
+#: on their own
+_MERGE_IDS = itertools.count()
 
-    def __init__(self, plan: Plan, tel: Telemetry, checkpoint_path: str | None) -> None:
+
+class Merger:
+    """Commits a plan's contiguous completed prefix, in canonical order,
+    through ``job.fold``."""
+
+    def __init__(self, plan: Plan, job: Job) -> None:
         self.plan = plan
-        self.tel = tel
-        self.checkpoint_path = checkpoint_path
-        self.worker_ids: dict = {}
+        self.job = job
+        self._merge_id = next(_MERGE_IDS)
         self._buffered: dict[int, TaskResult] = {}
         self._pos = 0
+
+    def drain(self, backend: Backend, put=None) -> None:
+        """Run the plan's misses on ``backend`` and commit every result;
+        ``put`` sees each fresh result before it is folded."""
+        # closed at once if the merge raises: a pool backend reaps its
+        # workers instead of leaving them to the garbage collector
+        with closing(backend.run(self.job, self.plan.misses)) as results:
+            for res in results:
+                if put is not None:
+                    put(res.record)
+                self.offer(res)
 
     def offer(self, res: TaskResult) -> None:
         self._buffered[res.index] = res
@@ -211,26 +304,23 @@ class Merger:
                 if res is None:
                     return
                 plan.slots[self._pos] = res.record
-                self._append(res.record)
+                self.job.fold(self._pos, res.record)
                 self._forward(res)
             elif label == HIT:
-                self._append(plan.slots[self._pos])
+                self.job.fold(self._pos, plan.slots[self._pos])
             self._pos += 1
 
-    def _append(self, rec: RunRecord) -> None:
-        if self.checkpoint_path is not None:
-            ckpt.append_record(self.checkpoint_path, rec)
-
     def _forward(self, res: TaskResult) -> None:
+        tel, worker_ids = self.job.tel, self.job.worker_ids
         if res.events:
-            wid = self.worker_ids.setdefault(res.worker, len(self.worker_ids))
+            wid = worker_ids.setdefault(res.worker, len(worker_ids))
             for ev in res.events:
                 fields = {k: v for k, v in ev.items() if k != "ev"}
                 fields["worker"] = wid
                 fields["run_index"] = res.index
-                self.tel.trace.emit(ev["ev"], **fields)
-        if res.metrics is not None and self.tel.metrics.enabled:
-            self.tel.metrics.merge(res.metrics, tag=res.index)
+                tel.trace.emit(ev["ev"], **fields)
+        if res.metrics is not None and tel.metrics.enabled:
+            tel.metrics.merge(res.metrics, tag=(self._merge_id, res.index))
 
 
 def run_pipeline(
@@ -265,19 +355,15 @@ def run_pipeline(
     plan = plan_campaign(cfg, done, cache)
     if cache is not None:
         cache.announce(tel, plan)
-    merger = Merger(plan, tel, checkpoint_path)
+    job = CampaignJob(top, run_top, cfg, background, tel, checkpoint_path)
+    merger = Merger(plan, job)
     merger.flush()  # leading hits are appended before any dispatch
     # a cached campaign with no misses (a warm replay) dispatches nothing;
     # without a cache the backend always runs, so a queue coordinator with
     # nothing left still publishes its queue and idle workers see it done
-    if plan.misses or cache is None:
-        job = CampaignJob(top, run_top, cfg, background, tel, merger.worker_ids)
-        # closed at once if the merge raises: a pool backend reaps its
-        # workers instead of leaving them to the garbage collector
-        with closing(backend.run(job, plan.misses)) as results:
-            for res in results:
-                if cache is not None:
-                    cache.put(tel, res.record)
-                merger.offer(res)
+    if cache is None:
+        merger.drain(backend)
+    elif plan.misses:
+        merger.drain(backend, put=lambda rec: cache.put(tel, rec))
     emit_campaign_end(tel, cfg, plan.records)
     return plan

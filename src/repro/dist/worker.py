@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 from repro.chaos.failpoints import failpoint
 from repro.core import checkpoint as ckpt
-from repro.core.experiment import CampaignBackground, execute_run
+from repro.core.experiment import CampaignBackground
+from repro.core.pipeline import CampaignJob
 from repro.dist.manifest import manifest_series, manifest_to_campaign
 from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue
 from repro.guard import WorkerHeartbeat, set_worker_heartbeat
@@ -142,11 +143,7 @@ class DistWorker:
         self._deadline: float | None = None
         # prepared once the manifest appears
         self._ready = False
-        self._top = None
-        self._run_top = None
-        self._cfg = None
-        self._background: CampaignBackground | None = None
-        self._modes: dict = {}
+        self._job: CampaignJob | None = None
         self._series = None
         self._trace_enabled = False
         self._metrics_enabled = False
@@ -172,14 +169,11 @@ class DistWorker:
         top, cfg = manifest_to_campaign(
             manifest, bundle_dir=str(self.queue.bundles_dir)
         )
-        self._top = top
-        self._cfg = cfg
-        self._run_top = (
-            top.with_faults(cfg.faults) if cfg.faults is not None else top
-        )
         # the pool is built by the first _execute, not by joining a queue
-        self._background = CampaignBackground(top, cfg)
-        self._modes = {m.name: m for m in cfg.modes}
+        self._job = CampaignJob(
+            top, top.with_faults(cfg.faults) if cfg.faults is not None else top,
+            cfg, CampaignBackground(top, cfg), Telemetry(),
+        )
         self._series = manifest_series(manifest)
         t = manifest.get("telemetry", {})
         self._trace_enabled = bool(t.get("trace", False))
@@ -205,7 +199,8 @@ class DistWorker:
     # ------------------------------------------------------------------
     def _execute(self, task: QueueTask, *, speculative: bool, attempt: int) -> dict:
         """Run one task and build its (complete) result payload."""
-        nodes, bg, intensity = self._background.draws(task.sample)
+        # the first draw builds the pool, outside the heartbeat window
+        self._job.background.draws(task.sample)
         tel = Telemetry(
             trace=MemoryTraceWriter() if self._trace_enabled else NULL_TRACE,
             metrics=MetricsRegistry(enabled=self._metrics_enabled),
@@ -221,17 +216,7 @@ class DistWorker:
         if self._hb is not None:
             self._hb.start_task()
         try:
-            rec = execute_run(
-                self._top,
-                self._run_top,
-                self._cfg,
-                task.sample,
-                self._modes[task.mode],
-                nodes,
-                bg,
-                intensity,
-                tel,
-            )
+            rec = self._job.execute(task, tel)
         finally:
             if self._hb is not None:
                 self._hb.end_task()

@@ -9,9 +9,9 @@ determinism contract; the short version:
 
 * per-run streams come from ``SeedSequence``-based derivation
   (:func:`repro.util.seed_sequence_for`) keyed by run identity;
-* the campaign pipeline's merger (:mod:`repro.core.pipeline`) commits
-  results in canonical order, so checkpoint files and merged telemetry
-  are order-independent.
+* the pipeline's merger (:mod:`repro.core.pipeline`) commits results
+  in canonical order, for campaigns and ensembles alike, so checkpoint
+  files and merged telemetry are order-independent.
 """
 
 from repro.util.lazy import lazy_exports
@@ -19,6 +19,6 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.pipeline": "RunTask TaskResult",
     ".campaign": "run_campaign_parallel",
-    ".ensembles": "run_ensembles",
+    "repro.core.ensembles": "run_ensembles",
     ".executor": "TaskOutcome run_tasks",
 })

@@ -28,6 +28,15 @@ def check_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def check_unique(name: str, values) -> None:
+    """Require that no value repeats."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{name} repeats {v!r}")
+        seen.add(v)
+
+
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     """Require ``lo <= value <= hi``; return it for chaining."""
     if not (lo <= value <= hi):

@@ -145,6 +145,10 @@ class TestInputErrors:
             (["sweep", "--nodes", "-4"], "n_nodes (--nodes) must be > 0, got -4"),
             (["submit", "--url", "http://127.0.0.1:9", "--samples", "-2"],
              "samples (--samples) must be >= 0, got -2"),
+            (["ensemble", "--nodes", "0"], "n_nodes (--nodes) must be > 0, got 0"),
+            (["ensemble", "--nodes", "-4"], "n_nodes (--nodes) must be > 0, got -4"),
+            (["compare", "--modes", "AD0,AD0"], "modes (--modes) repeats 'AD0'"),
+            (["ensemble", "--modes", "AD3,AD0,3"], "modes (--modes) repeats 'AD3'"),
         ],
     )
     def test_one_line_and_exit_2(self, capsys, argv, message):
@@ -153,6 +157,14 @@ class TestInputErrors:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_campaign_config_rejects_repeated_modes(self):
+        from repro.apps import MILC
+        from repro.core.biases import AD0, AD3
+        from repro.core.experiment import CampaignConfig
+
+        with pytest.raises(ValueError, match="repeats 'AD3'"):
+            CampaignConfig(app=MILC(), modes=(AD3, AD0, AD3))
 
     def test_lookups_stay_key_errors_for_library_callers(self):
         from repro.apps import app_by_name

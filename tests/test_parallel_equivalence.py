@@ -216,14 +216,14 @@ class TestCliEquivalence:
             "--checkpoint", str(ck),
         ]
         full = self._run(capsys, [*argv, "--workers", "2"])
-        saved = json.loads(ck.read_text())
-        assert set(saved["outputs"]) == {"AD0", "AD3"}
+        full_bytes = ck.read_bytes()
+        lines = full_bytes.splitlines(keepends=True)
+        assert [json.loads(line)["mode"] for line in lines[1:]] == ["AD0", "AD3"]
         # drop AD3, as an interrupt after the first ensemble would
-        saved["outputs"].pop("AD3")
-        ck.write_text(json.dumps(saved) + "\n")
+        ck.write_bytes(b"".join(lines[:2]))
         resumed = self._run(capsys, [*argv, "--workers", "2", "--resume"])
         assert resumed == f"(resumed from {ck})\n" + full
-        assert set(json.loads(ck.read_text())["outputs"]) == {"AD0", "AD3"}
+        assert ck.read_bytes() == full_bytes
 
     def test_ensemble_checkpoint_survives_a_failed_rewrite(
         self, capsys, tmp_path, monkeypatch
@@ -236,15 +236,16 @@ class TestCliEquivalence:
             "--checkpoint", str(ck), "--workers", "1",
         ]
         full = self._run(capsys, argv)
+        full_bytes = ck.read_bytes()
         ck.unlink()
         real_open = builtins.open
         opened = []
 
         def failing_open(file, mode="r", *args, **kwargs):
             f = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and Path(file).parent == tmp_path:
+            if ("w" in mode or "a" in mode) and Path(file).parent == tmp_path:
                 opened.append(file)
-                if len(opened) == 2:  # truncated, then the write fails
+                if len(opened) == 2:  # header published, then an append fails
                     f.close()
                     raise OSError(errno.ENOSPC, "No space left on device")
             return f
@@ -260,6 +261,7 @@ class TestCliEquivalence:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
         resumed = self._run(capsys, [*argv, "--resume"])
         assert resumed == f"(resumed from {ck})\n" + full
+        assert ck.read_bytes() == full_bytes
 
     def test_calibrate_probe_jobs_identical(self, theta_top):
         from repro.core.calibration import probe_observables
