@@ -144,7 +144,7 @@ def _queue_results_valid(queue_dir: Path) -> tuple[bool, str]:
             return False, f"torn/unreadable result {path.name}"
         if path.stem not in task_ids:
             return False, f"result {path.name} matches no campaign task"
-        if not isinstance(payload, dict) or "record" not in payload:
+        if not isinstance(payload, dict) or "line" not in payload:
             return False, f"result {path.name} is not a complete payload"
     return True, f"{len(results)} committed results, all complete and owned"
 

@@ -177,18 +177,27 @@ def write_header(path: str | os.PathLike, fingerprint: dict[str, Any]) -> None:
     rewrite(path, fingerprint, [])
 
 
+def encode_record(rec: Any, codec: LineCodec = RUN_RECORDS) -> str:
+    """One result's checkpoint line, without its newline: for a campaign
+    run, its one wire form (:mod:`repro.core.pipeline`)."""
+    return json.dumps(codec.encode(rec))
+
+
 def append_record(
-    path: str | os.PathLike, rec: Any, codec: LineCodec = RUN_RECORDS
+    path: str | os.PathLike, rec: Any, codec: LineCodec = RUN_RECORDS, line: str | None = None
 ) -> None:
     """Append one finished task, flushed so a crash loses at most one line.
 
+    ``line`` is the task's :func:`encode_record` line when the caller
+    already holds it (it is appended as is); otherwise ``rec`` is encoded.
     Raises :class:`StoreUnavailableError` when the filesystem fails the
     append (ENOSPC/EIO); a torn partial line may remain, which the next
     ``--resume`` removes via :func:`repair_tail`.
     """
-    line = json.dumps(codec.encode(rec)) + "\n"
+    if line is None:
+        line = encode_record(rec, codec)
     try:
-        durable.append_line(path, line, site="checkpoint.append")
+        durable.append_line(path, line + "\n", site="checkpoint.append")
     except OSError as exc:
         raise StoreUnavailableError("checkpoint append", exc) from exc
 
@@ -241,7 +250,7 @@ def rewrite(
     write leaves the previous checkpoint intact.
     """
     lines = [json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})]
-    lines += [json.dumps(codec.encode(rec)) for rec in records]
+    lines += [encode_record(rec, codec) for rec in records]
     try:
         durable.write_atomic(
             path, "\n".join(lines) + "\n", pre_rename="checkpoint.rewrite"

@@ -240,6 +240,9 @@ class EnsembleJob:
     def execute(self, task: RunTask, tel: Telemetry) -> EnsembleResult:
         return run_ensemble(self.top, self.cfgs[task.index], telemetry=tel)
 
+    def encode(self, res: EnsembleResult) -> None:
+        """An ensemble result has no line of its own (``on_result`` writes)."""
+
     def lost(self, outcome: Any) -> EnsembleResult:
         # an ensemble has no per-run error record to degrade into
         raise RuntimeError(
@@ -247,7 +250,7 @@ class EnsembleJob:
             f"{outcome.attempts} times"
         ) from outcome.error
 
-    def fold(self, index: int, res: EnsembleResult) -> None:
+    def fold(self, index: int, res: EnsembleResult, line: str | None) -> None:
         if self.on_result is not None:
             self.on_result(index, res)
 

@@ -14,7 +14,8 @@ the same backends and merger.  Three parts:
 * the **planner** (:func:`plan_campaign`) labels every canonical
   (sample-major, mode-minor) slot ``resume`` (already in the checkpoint),
   ``hit`` (served by an optional cache filter) or ``miss``.  Every cache
-  lookup happens here, before anything is dispatched;
+  lookup happens here, before anything is dispatched, and the merger
+  folds the leading hits as they are found;
 * a **backend** turns the misses into :class:`TaskResult` s, in any
   order, by calling the job: :class:`InlineBackend` here, ``PoolBackend``
   (the fork pool) in :mod:`repro.parallel.campaign`, ``DistDispatcher``
@@ -25,6 +26,11 @@ the same backends and merger.  Three parts:
   checkpoint lines, cache hits included), forwarding worker trace
   events with a dense ``worker`` id and the ``run_index``, and merging
   worker metrics once per run.
+
+A campaign record is encoded once, by the process that ran it: its
+checkpoint line (:func:`repro.core.checkpoint.encode_record`) rides in
+the :class:`TaskResult` (or a cache hit's plan slot) to the fold, which
+appends those bytes unchanged and drops them.
 
 The checkpoint is therefore at every instant a prefix of the serial
 file, and the records and bytes a campaign ends with do not depend on
@@ -79,15 +85,17 @@ class RunTask:
 class TaskResult:
     """A backend's answer for one miss.
 
-    ``record`` is what the job's ``execute`` returned.  ``worker`` keys
-    the dense worker id the run's ``events`` are tagged with (a pool
-    worker's pid, a queue owner's name).  A run executed under the job's
-    own telemetry carries no events or metrics.
+    ``record`` is what the job's ``execute`` returned, and ``line`` the
+    job's encoding of it, made where it ran (None when nothing will
+    write it).  ``worker`` keys the dense worker id the run's ``events``
+    are tagged with (a pool worker's pid, a queue owner's name).  A run
+    executed under the job's own telemetry carries no events or metrics.
     """
 
     index: int
     worker: Any
     record: Any
+    line: str | None = None
     events: list[dict] = field(default_factory=list)
     metrics: MetricsRegistry | None = None
     #: executions it took to get the result (>1 after a worker died)
@@ -101,14 +109,18 @@ class Plan:
     slots: list[Any] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
     misses: list[RunTask] = field(default_factory=list)
+    #: slot -> checkpoint line of a cache hit, until the merger folds it
+    lines: dict[int, str] = field(default_factory=dict)
 
     def count(self, label: str) -> int:
         return self.labels.count(label)
 
-    def add(self, rec: Any, label: str, sample: int, mode: str) -> None:
+    def add(self, rec: Any, label: str, sample: int, mode: str, line: str | None = None) -> None:
         """Append the next canonical slot; a ``miss`` also becomes a task."""
         if label == MISS:
             self.misses.append(RunTask(index=len(self.slots), sample=sample, mode=mode))
+        if line is not None:
+            self.lines[len(self.slots)] = line
         self.slots.append(rec)
         self.labels.append(label)
 
@@ -123,19 +135,20 @@ class CacheFilter(Protocol):
 
     start_fields: dict
 
-    def lookup(self, sample: int, mode: str) -> RunRecord | None: ...
+    def lookup(self, sample: int, mode: str) -> tuple[RunRecord, str] | None: ...
 
     def announce(self, tel: Telemetry, plan: Plan) -> None: ...
 
-    def put(self, tel: Telemetry, rec: RunRecord) -> None: ...
+    def put(self, tel: Telemetry, rec: RunRecord, line: str) -> None: ...
 
 
 class Job(Protocol):
     """One kind of work, as the backends and the merger call it:
     ``prepare`` builds in the parent what forked workers inherit,
-    ``execute`` runs one task under a telemetry, ``lost`` answers for a
-    task whose worker kept dying, and ``fold`` commits each result (a
-    fresh one or a cache hit) in canonical order."""
+    ``execute`` runs one task under a telemetry, ``encode`` gives a
+    result's line where it was produced, ``lost`` answers for a task
+    whose worker kept dying, and ``fold`` commits each result (a fresh
+    one or a cache hit, with its line) in canonical order."""
 
     tel: Telemetry
     #: dense worker ids, shared by the merger's event tags and a queue
@@ -148,14 +161,18 @@ class Job(Protocol):
 
     def execute(self, task: RunTask, tel: Telemetry) -> Any: ...
 
+    def encode(self, rec: Any) -> str | None: ...
+
     def lost(self, outcome: Any) -> Any: ...
 
-    def fold(self, index: int, rec: Any) -> None: ...
+    def fold(self, index: int, rec: Any, line: str | None) -> None: ...
 
 
 @dataclass
 class CampaignJob:
-    """The campaign kind: its fold appends each record to the checkpoint."""
+    """The campaign kind: its fold appends each record's line to the
+    checkpoint; records are encoded only if a checkpoint or store (``wire``)
+    will write them."""
 
     top: DragonflyTopology
     #: the degraded view the job routes on (``top`` when fault-free)
@@ -165,6 +182,7 @@ class CampaignJob:
     tel: Telemetry
     checkpoint_path: str | None = None
     worker_ids: dict = field(default_factory=dict)
+    wire: bool = False
 
     @property
     def guard(self) -> GuardPolicy | None:
@@ -187,6 +205,9 @@ class CampaignJob:
             intensity, tel,
         )
 
+    def encode(self, rec: RunRecord) -> str | None:
+        return ckpt.encode_record(rec) if self.wire else None
+
     def lost(self, outcome: Any) -> RunRecord:
         """A run whose worker process kept dying (crash or watchdog kill),
         isolated exactly like an in-run failure would be."""
@@ -205,9 +226,9 @@ class CampaignJob:
         )
         return rec
 
-    def fold(self, index: int, rec: RunRecord) -> None:
+    def fold(self, index: int, rec: RunRecord, line: str | None) -> None:
         if self.checkpoint_path is not None:
-            ckpt.append_record(self.checkpoint_path, rec)
+            ckpt.append_record(self.checkpoint_path, rec, line=line)
 
 
 class Backend(Protocol):
@@ -225,9 +246,8 @@ class InlineBackend:
 
     def run(self, job: Job, misses: list[RunTask]) -> Iterator[TaskResult]:
         for task in misses:
-            yield TaskResult(
-                index=task.index, worker=None, record=job.execute(task, job.tel)
-            )
+            rec = job.execute(task, job.tel)
+            yield TaskResult(index=task.index, worker=None, record=rec, line=job.encode(rec))
 
 
 def select_backend(jobs: int | None, queue_dir: str | None, **queue_opts) -> Backend:
@@ -250,16 +270,21 @@ def select_backend(jobs: int | None, queue_dir: str | None, **queue_opts) -> Bac
 def plan_campaign(
     cfg: CampaignConfig,
     done: dict[tuple[int, str], RunRecord],
-    cache: CacheFilter | None = None,
+    cache: CacheFilter | None,
+    merger: Merger,
 ) -> Plan:
-    """Label every canonical slot ``resume``, ``hit`` or ``miss``."""
-    plan = Plan()
+    """Label every canonical slot of ``merger``'s plan ``resume``, ``hit``
+    or ``miss``, folding its completed prefix as it goes: a leading hit's
+    line is appended, and dropped, before the next lookup."""
+    plan = merger.plan
     for i in range(cfg.samples):
         for mode in cfg.modes:
-            rec, label = done.get((i, mode.name)), RESUME
+            rec, label, line = done.get((i, mode.name)), RESUME, None
             if rec is None and cache is not None:
-                rec, label = cache.lookup(i, mode.name), HIT
-            plan.add(rec, MISS if rec is None else label, i, mode.name)
+                rec, line = cache.lookup(i, mode.name) or (None, None)
+                label = HIT
+            plan.add(rec, MISS if rec is None else label, i, mode.name, line)
+            merger.flush()
     return plan
 
 
@@ -282,13 +307,13 @@ class Merger:
 
     def drain(self, backend: Backend, put=None) -> None:
         """Run the plan's misses on ``backend`` and commit every result;
-        ``put`` sees each fresh result before it is folded."""
+        ``put`` sees each fresh :class:`TaskResult` before it is folded."""
         # closed at once if the merge raises: a pool backend reaps its
         # workers instead of leaving them to the garbage collector
         with closing(backend.run(self.job, self.plan.misses)) as results:
             for res in results:
                 if put is not None:
-                    put(res.record)
+                    put(res)
                 self.offer(res)
 
     def offer(self, res: TaskResult) -> None:
@@ -304,10 +329,10 @@ class Merger:
                 if res is None:
                     return
                 plan.slots[self._pos] = res.record
-                self.job.fold(self._pos, res.record)
+                self.job.fold(self._pos, res.record, res.line)
                 self._forward(res)
             elif label == HIT:
-                self.job.fold(self._pos, plan.slots[self._pos])
+                self.job.fold(self._pos, plan.slots[self._pos], plan.lines.pop(self._pos))
             self._pos += 1
 
     def _forward(self, res: TaskResult) -> None:
@@ -337,9 +362,9 @@ def run_pipeline(
 ) -> Plan:
     """Run one campaign; the returned plan's ``records`` are its result.
 
-    A cache's ``put`` sees each fresh record before the merger appends
-    it to the checkpoint.  A cached campaign's ``campaign.start`` names
-    the store rather than the backend.
+    A cache's ``put`` sees each fresh record and its line before the
+    merger appends that line to the checkpoint.  A cached campaign's
+    ``campaign.start`` names the store rather than the backend.
     """
     tel = resolve_telemetry(telemetry)
     # background scenarios are built against the pristine fabric (ambient
@@ -352,18 +377,19 @@ def run_pipeline(
     # the pool is built on the first draw, so only a miss can build it
     background = CampaignBackground(top, cfg, background_model, scenarios)
 
-    plan = plan_campaign(cfg, done, cache)
+    wire = checkpoint_path is not None or cache is not None
+    job = CampaignJob(top, run_top, cfg, background, tel, checkpoint_path, wire=wire)
+    merger = Merger(Plan(), job)
+    # leading hits are appended while planning, before any dispatch
+    plan = plan_campaign(cfg, done, cache, merger)
     if cache is not None:
         cache.announce(tel, plan)
-    job = CampaignJob(top, run_top, cfg, background, tel, checkpoint_path)
-    merger = Merger(plan, job)
-    merger.flush()  # leading hits are appended before any dispatch
     # a cached campaign with no misses (a warm replay) dispatches nothing;
     # without a cache the backend always runs, so a queue coordinator with
     # nothing left still publishes its queue and idle workers see it done
     if cache is None:
         merger.drain(backend)
     elif plan.misses:
-        merger.drain(backend, put=lambda rec: cache.put(tel, rec))
+        merger.drain(backend, put=lambda res: cache.put(tel, res.record, res.line))
     emit_campaign_end(tel, cfg, plan.records)
     return plan

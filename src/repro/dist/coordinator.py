@@ -26,6 +26,7 @@ Observability: ``dist.worker`` (first sighting of each worker),
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Iterator
 
@@ -64,16 +65,11 @@ def _local_fallback(
     produced: list[tuple[str, dict]] = []
     for res in PoolBackend(jobs).run(job, remaining):
         task = by_index[res.index]
-        payload = {
-            "tid": task.tid,
-            "index": task.index,
-            "record": ckpt.record_to_dict(res.record),
-            "events": res.events,
-            "metrics": res.metrics.to_wire() if res.metrics is not None else None,
-            "worker": "coordinator:fallback",
-            "attempt": res.attempts,
-            "speculative": False,
-        }
+        payload = task.result(
+            res.line or ckpt.encode_record(res.record), "coordinator:fallback", res.attempts,
+            events=res.events,
+            metrics=res.metrics.to_wire() if res.metrics is not None else None,
+        )
         produced.append((task.tid, payload))
         try:
             queue.commit_result(task.tid, payload)
@@ -143,10 +139,12 @@ class DistDispatcher:
             if m.enabled:
                 m.counter("dist_tasks_done_total", "runs merged").inc()
             wire = payload.get("metrics")
+            line = payload["line"]
             return TaskResult(
                 index=int(payload["index"]),
                 worker=str(payload.get("worker", "?")),
-                record=ckpt.record_from_dict(payload["record"]),
+                record=ckpt.record_from_dict(json.loads(line)),
+                line=line,
                 events=payload.get("events") or [],
                 metrics=MetricsRegistry.from_wire(wire) if wire is not None else None,
             )
@@ -223,7 +221,9 @@ class DistDispatcher:
                     # budget exhausted with no result: the task is dead —
                     # write its error record so the campaign completes
                     if used >= queue.retry_budget and not queue.has_result(t.tid):
-                        if t.tid in live:
+                        # a claim made since the scan above counts too: its
+                        # lease lands before its attempt does
+                        if t.tid in live or t.tid in queue.live_leases():
                             continue  # final attempt still running
                         rec = job.background.lost_record(
                             t.sample,
@@ -231,17 +231,9 @@ class DistDispatcher:
                             RuntimeError(f"retry budget exhausted after {used} attempts"),
                             used,
                         )
-                        payload = {
-                            "tid": t.tid,
-                            "index": t.index,
-                            "record": ckpt.record_to_dict(rec),
-                            "events": [],
-                            "metrics": None,
-                            "worker": "coordinator",
-                            "attempt": used,
-                            "speculative": False,
-                        }
-                        queue.commit_result(t.tid, payload)
+                        queue.commit_result(
+                            t.tid, t.result(ckpt.encode_record(rec), "coordinator", used)
+                        )
                         tel.event(
                             "dist.task_exhausted",
                             tid=t.tid,

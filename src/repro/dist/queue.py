@@ -60,7 +60,8 @@ from repro.util import durable
 
 MANIFEST_NAME = "manifest.json"
 _KIND = "repro-dist-queue"
-_VERSION = 1
+#: 2: result payloads carry the record's checkpoint ``line``, not a dict
+_VERSION = 2
 
 #: default seconds a lease lives without renewal
 DEFAULT_TTL = 30.0
@@ -121,6 +122,18 @@ class QueueTask:
             sample=int(d["sample"]),
             mode=str(d["mode"]),
         )
+
+    def result(
+        self, line: str, worker: str, attempt: int, *, events: list | None = None,
+        metrics: dict | None = None, speculative: bool = False,
+    ) -> dict:
+        """The payload committing this task: the record's checkpoint line
+        plus the run's trace events, metrics wire and provenance."""
+        return {
+            "tid": self.tid, "index": self.index, "line": line, "events": events or [],
+            "metrics": metrics, "worker": worker, "attempt": attempt,
+            "speculative": speculative,
+        }
 
 
 @dataclass

@@ -17,8 +17,9 @@ any instant and a fresh one (on any host) picks up where it left off:
   A renewal thread re-stamps the lease every ``ttl/3``; if renewal
   discovers the lease was stolen, the run finishes anyway and the
   commit races — first-commit-wins makes the loser harmless.
-* **commit**: the complete result payload (record + trace events +
-  metrics wire) lands via write-tmp → fsync → link.
+* **commit**: the complete result payload (the record's checkpoint
+  ``line``, encoded once here, + trace events + metrics wire) lands via
+  write-tmp → fsync → link.
 * **speculate**: when nothing is claimable but live leases remain (the
   campaign tail), re-execute the *oldest* in-flight task without taking
   its lease.  Determinism makes the duplicate byte-identical; the dedup
@@ -221,16 +222,11 @@ class DistWorker:
             if self._hb is not None:
                 self._hb.end_task()
         self.stats.executed += 1
-        return {
-            "tid": task.tid,
-            "index": task.index,
-            "record": ckpt.record_to_dict(rec),
-            "events": tel.trace.events if self._trace_enabled else [],
-            "metrics": tel.metrics.to_wire() if self._metrics_enabled else None,
-            "worker": self.owner,
-            "attempt": attempt,
-            "speculative": speculative,
-        }
+        return task.result(
+            ckpt.encode_record(rec), self.owner, attempt, speculative=speculative,
+            events=tel.trace.events if self._trace_enabled else [],
+            metrics=tel.metrics.to_wire() if self._metrics_enabled else None,
+        )
 
     def _commit(self, task: QueueTask, payload: dict, *, speculative: bool) -> None:
         won = self.queue.commit_result(task.tid, payload)

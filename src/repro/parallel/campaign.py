@@ -65,7 +65,7 @@ def _init_worker(job: Job, heartbeat_dir: str | None) -> None:
 def _run_task(task: RunTask) -> TaskResult:
     """The one fork-pool worker entry: run ``task`` on the inherited job
     under a private telemetry whose events and metrics go back to the
-    parent's merger."""
+    parent's merger, with the result's line encoded here."""
     job = _JOB
     trace_enabled, metrics_enabled = job.tel.trace.enabled, job.tel.metrics.enabled
     tel = Telemetry(
@@ -85,6 +85,7 @@ def _run_task(task: RunTask) -> TaskResult:
         index=task.index,
         worker=os.getpid(),
         record=rec,
+        line=job.encode(rec),
         events=tel.trace.events if trace_enabled else [],
         metrics=tel.metrics if metrics_enabled else None,
     )
@@ -144,10 +145,12 @@ class PoolBackend:
                 if outcome.ok:
                     yield outcome.result
                 else:
+                    rec = job.lost(outcome)
                     yield TaskResult(
                         index=outcome.task.index,
                         worker=os.getpid(),
-                        record=job.lost(outcome),
+                        record=rec,
+                        line=job.encode(rec),
                         attempts=outcome.attempts,
                     )
         finally:

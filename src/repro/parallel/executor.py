@@ -23,6 +23,8 @@ contract with callers:
   no orphans behind, and propagate — leaving whatever the caller already
   consumed intact.  This is what makes a killed checkpointed campaign
   resumable.
+* Every worker exits on its own once its parent is gone (a SIGKILLed
+  parent runs none of the above), so no pool outlives its campaign.
 * A :class:`repro.guard.Watchdog` can be attached via ``watchdog=``;
   the dispatcher points it at each live pool's worker pids so stale
   heartbeats get the worker SIGKILLed — which surfaces here as a broken
@@ -35,6 +37,7 @@ import multiprocessing as mp
 import os
 import signal
 import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -52,6 +55,9 @@ DEFAULT_MP_CONTEXT = "fork"
 #: fork pool rebuilds cheaply) with a tight cap so the bounded-retry
 #: rounds stay inside CI timeouts
 POOL_RETRY_BACKOFF = BackoffPolicy(base=0.05, cap=1.0)
+
+#: seconds between a worker's checks that its parent is still alive
+PARENT_POLL_S = 0.25
 
 
 @dataclass
@@ -81,6 +87,21 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             os.kill(pid, signal.SIGKILL)
         except (OSError, ProcessLookupError):
             pass
+
+
+def _init_worker(parent: int, initializer, initargs: tuple) -> None:
+    """Watch ``parent`` from a thread that exits this worker once it is
+    gone (blocked on the call queue, a worker would never see end-of-file:
+    its siblings hold the pipe too), then run the caller's initializer."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _unstick_manager(pool: ProcessPoolExecutor) -> None:
@@ -152,8 +173,8 @@ def run_tasks(
         pool = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=ctx,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(os.getpid(), initializer, initargs),
         )
         if watchdog is not None:
             # only this pool's workers are fair game for the watchdog;

@@ -8,7 +8,9 @@ fingerprint, RNG key)`` in a :class:`~repro.service.store.RunRecordStore`;
 hits are served from disk, misses execute on whichever backend the
 usual rule picks — inline, the fork pool, or the shared-directory queue
 — and every fresh ``ok`` record is committed back to the store before
-its checkpoint line is written.
+its checkpoint line is written.  Store and checkpoint hold the same
+line, encoded once where the run executed; a hit is decoded once and its
+stored bytes are appended to the checkpoint as they are.
 
 Equivalence contract: because each run is a pure function of its
 content address, a warm campaign's records and checkpoint JSONL are
@@ -57,13 +59,13 @@ class StoreFilter:
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, sample: int, mode: str) -> RunRecord | None:
+    def lookup(self, sample: int, mode: str) -> tuple[RunRecord, str] | None:
         cached = self.store.get(self.fingerprint, sample, mode)
         if cached is None:
             self.misses += 1
             return None
         self.hits += 1
-        return ckpt.record_from_dict(cached)
+        return ckpt.record_from_dict(cached), cached.line
 
     def announce(self, tel: Telemetry, plan: Plan) -> None:
         m = tel.metrics
@@ -81,13 +83,11 @@ class StoreFilter:
             store=str(self.store.root),
         )
 
-    def put(self, tel: Telemetry, rec: RunRecord) -> None:
+    def put(self, tel: Telemetry, rec: RunRecord, line: str) -> None:
         if not rec.ok:
             return
         try:
-            self.store.put(
-                self.fingerprint, rec.sample_index, rec.mode, ckpt.record_to_dict(rec)
-            )
+            self.store.put(self.fingerprint, rec.sample_index, rec.mode, line)
         except ckpt.StoreUnavailableError as exc:
             # a full/broken cache disk degrades the store to a no-op: the
             # run is already computed, the campaign (and its checkpoint)

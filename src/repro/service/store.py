@@ -11,12 +11,17 @@ campaigns, processes, and service restarts:
   ``os.replace``, so a SIGKILL at any instant leaves either nothing
   visible or a complete entry; concurrent writers of the same key are
   harmless because deterministic duplicates are byte-identical.
-* **Integrity** — each entry carries a SHA-256 over its canonical
-  ``(fingerprint, rng_key, record)`` JSON.  A read that fails to parse,
-  fails the hash, or was addressed to a different identity is
-  **quarantined** (moved aside, never served, never raised) and counts
-  as a miss — a torn or bit-flipped entry can slow a campaign down but
-  can never corrupt one.
+* **Layout** — an entry is two lines: a header (kind, version 2, key,
+  fingerprint, RNG key, SHA-256) and the record's checkpoint line,
+  byte for byte (:func:`repro.core.checkpoint.encode_record`).  A hit
+  decodes that line once and hands its bytes on to the checkpoint.
+* **Integrity** — the header's SHA-256 covers the canonical
+  ``(fingerprint, rng_key)`` JSON plus the line's exact bytes.  A read
+  that fails to parse, fails the hash, or was addressed to a different
+  identity is **quarantined** (moved aside, never served, never raised)
+  and counts as a miss — a torn or bit-flipped entry can slow a campaign
+  down but can never corrupt one.  So is an entry of another version
+  (a version-1 entry is re-executed and recommitted once).
 * **Eviction** — optional ``max_bytes`` / ``max_entries`` budgets are
   enforced LRU (entry-file mtime, refreshed on every hit).  Keys pinned
   by an in-flight campaign (:meth:`RunRecordStore.pinned`) are never
@@ -44,10 +49,10 @@ from repro.chaos.failpoints import failpoint
 from repro.util import durable
 from repro.util.durable import StoreUnavailableError
 
-__all__ = ["CacheStats", "RunRecordStore", "StoreUnavailableError", "entry_key"]
+__all__ = ["CacheStats", "CachedRecord", "RunRecordStore", "StoreUnavailableError", "entry_key"]
 
 _KIND = "repro-run-cache"
-_VERSION = 1
+_VERSION = 2
 
 #: hex digits of SHA-256 kept in entry keys (collision odds are
 #: negligible at any realistic cache size; the full hash guards content)
@@ -64,9 +69,35 @@ def entry_key(fingerprint: dict, sample: int, mode: str) -> str:
     return hashlib.sha256(_canonical(key).encode()).hexdigest()[:KEY_LEN]
 
 
-def _entry_digest(fingerprint: dict, rng_key: dict, record: dict) -> str:
-    body = {"fingerprint": fingerprint, "rng_key": rng_key, "record": record}
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()
+def _entry_digest(fingerprint: dict, rng_key: dict, line: bytes) -> str:
+    ident = _canonical({"fingerprint": fingerprint, "rng_key": rng_key}) + "\n"
+    return hashlib.sha256(ident.encode() + line).hexdigest()
+
+
+def _parse_entry(raw: bytes) -> tuple[dict, bytes] | None:
+    """An entry's header and line, or None unless ``raw`` is two complete
+    lines of this kind and version whose digest holds."""
+    parts = raw.split(b"\n")
+    try:
+        header = json.loads(parts[0])
+        valid = (
+            len(parts) == 3
+            and not parts[2]
+            and header["kind"] == _KIND
+            and header["version"] == _VERSION
+            and header["sha256"]
+            == _entry_digest(header["fingerprint"], header["rng_key"], parts[1])
+        )
+    except (ValueError, TypeError, KeyError):  # not JSON, or not a header
+        return None
+    return (header, parts[1]) if valid else None
+
+
+class CachedRecord(dict):
+    """A hit: the decoded record dict, plus ``line``, the exact stored
+    checkpoint line it was decoded from."""
+
+    __slots__ = ("line",)
 
 
 @dataclass
@@ -165,12 +196,12 @@ class RunRecordStore:
                 return  # someone else moved it; either way it is gone
         self.quarantined += 1
 
-    def get(self, fingerprint: dict, sample: int, mode: str) -> dict | None:
-        """The cached record dict for one run, or ``None`` on a miss.
+    def get(self, fingerprint: dict, sample: int, mode: str) -> CachedRecord | None:
+        """The cached record for one run, or ``None`` on a miss.
 
         Never raises on a damaged entry: parse failures, integrity-hash
-        mismatches, and identity mismatches quarantine the file and
-        return ``None`` — the caller simply re-executes the run.
+        mismatches, identity mismatches and other versions quarantine the
+        file and return ``None`` — the caller simply re-executes the run.
         """
         key = entry_key(fingerprint, sample, mode)
         path = self._path(key)
@@ -184,13 +215,9 @@ class RunRecordStore:
             except OSError:
                 self.misses += 1
                 return None
-            try:
-                entry = json.loads(raw)
-            except ValueError:  # JSONDecodeError, or invalid UTF-8
-                self._quarantine(path)
-                self.misses += 1
-                return None
-            if not self._valid(entry, fingerprint, sample, mode):
+            header, line = _parse_entry(raw) or ({}, b"")
+            rng_key = {"sample": sample, "mode": mode}
+            if header.get("fingerprint") != fingerprint or header.get("rng_key") != rng_key:
                 self._quarantine(path)
                 self.misses += 1
                 return None
@@ -199,26 +226,13 @@ class RunRecordStore:
             except OSError:
                 pass
             self.hits += 1
-            return entry["record"]
+            hit = CachedRecord(json.loads(line))
+            hit.line = line.decode()
+            return hit
 
-    @staticmethod
-    def _valid(entry: Any, fingerprint: dict, sample: int, mode: str) -> bool:
-        if not isinstance(entry, dict):
-            return False
-        if entry.get("kind") != _KIND or entry.get("version") != _VERSION:
-            return False
-        rng_key = entry.get("rng_key")
-        record = entry.get("record")
-        if not isinstance(rng_key, dict) or not isinstance(record, dict):
-            return False
-        if entry.get("fingerprint") != fingerprint:
-            return False
-        if rng_key != {"sample": sample, "mode": mode}:
-            return False
-        return entry.get("sha256") == _entry_digest(fingerprint, rng_key, record)
-
-    def put(self, fingerprint: dict, sample: int, mode: str, record: dict) -> bool:
-        """Commit one run's record; ``False`` when the key already exists.
+    def put(self, fingerprint: dict, sample: int, mode: str, record: str | dict) -> bool:
+        """Commit one run's checkpoint line (a dict is encoded to one);
+        ``False`` when the key already exists.
 
         Existing entries are kept (first-commit-wins is free: a
         deterministic duplicate is byte-identical, and skipping the
@@ -230,15 +244,15 @@ class RunRecordStore:
         """
         key = entry_key(fingerprint, sample, mode)
         path = self._path(key)
+        line = record if isinstance(record, str) else json.dumps(record)
         rng_key = {"sample": sample, "mode": mode}
-        entry = {
+        header = {
             "kind": _KIND,
             "version": _VERSION,
             "key": key,
             "fingerprint": fingerprint,
             "rng_key": rng_key,
-            "sha256": _entry_digest(fingerprint, rng_key, record),
-            "record": record,
+            "sha256": _entry_digest(fingerprint, rng_key, line.encode()),
         }
         with self._lock:
             if path.exists():
@@ -247,7 +261,7 @@ class RunRecordStore:
             try:
                 durable.write_atomic(
                     path,
-                    json.dumps(entry) + "\n",
+                    f"{json.dumps(header)}\n{line}\n",
                     tmp_dir=self.tmp_dir,
                     post_tmp="store.commit.post_tmp",
                     pre_rename="store.commit.pre_rename",
@@ -332,8 +346,8 @@ class RunRecordStore:
     def verify(self) -> tuple[int, list[str]]:
         """Integrity-scan every committed entry: ``(ok_count, bad_keys)``.
 
-        An entry is *bad* when it fails to parse, carries the wrong
-        kind/version, or its SHA-256 disagrees with its own content —
+        An entry is *bad* when it is not two complete lines, carries the
+        wrong kind/version, or its SHA-256 disagrees with its own content —
         precisely the damage a torn or interrupted write would leave if
         the commit protocol ever let one become visible.  Bad entries
         are quarantined exactly as :meth:`get` would.  The chaos soak
@@ -345,24 +359,10 @@ class RunRecordStore:
             for _, key, _ in self._scan():
                 path = self._path(key)
                 try:
-                    entry = json.loads(path.read_bytes())
-                except (OSError, ValueError):
-                    bad.append(key)
-                    self._quarantine(path)
-                    continue
-                if (
-                    not isinstance(entry, dict)
-                    or entry.get("kind") != _KIND
-                    or entry.get("version") != _VERSION
-                    or not isinstance(entry.get("rng_key"), dict)
-                    or not isinstance(entry.get("record"), dict)
-                    or entry.get("sha256")
-                    != _entry_digest(
-                        entry.get("fingerprint"),
-                        entry["rng_key"],
-                        entry["record"],
-                    )
-                ):
+                    entry = _parse_entry(path.read_bytes())
+                except OSError:
+                    entry = None
+                if entry is None:
                     bad.append(key)
                     self._quarantine(path)
                     continue

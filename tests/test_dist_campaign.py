@@ -243,7 +243,7 @@ class TestSpeculation:
         assert payload["speculative"] is True
         assert payload["worker"] == "fast-host:1"
         # determinism: the stolen run's record is the serial one
-        assert payload["record"] == record_to_dict(serial_records[0])
+        assert json.loads(payload["line"]) == record_to_dict(serial_records[0])
         # the straggler finally finishes: its commit must lose
         assert coord.commit_result(tasks[0].tid, {"late": True}) is False
         assert coord.read_result(tasks[0].tid)["worker"] == "fast-host:1"

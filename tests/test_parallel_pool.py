@@ -144,11 +144,11 @@ class TestInterrupts:
         real_append = ckpt_mod.append_record
         state = {"appends": 0, "armed": True}
 
-        def interrupting(path, rec):
+        def interrupting(path, rec, **kw):
             if state["armed"] and state["appends"] >= 2:
                 raise KeyboardInterrupt
             state["appends"] += 1
-            return real_append(path, rec)
+            return real_append(path, rec, **kw)
 
         monkeypatch.setattr(ckpt_mod, "append_record", interrupting)
         with pytest.raises(KeyboardInterrupt):
@@ -314,3 +314,49 @@ class TestParentSigterm:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert ck.read_bytes() == ck_full.read_bytes()
+
+
+class TestParentSigkill:
+    """SIGKILL of the *parent* mid-campaign (OOM killer, ``kill -9``).
+
+    The parent runs no handler and reaps nobody, and a worker waiting on
+    the inherited call queue never reads end-of-file (its siblings hold
+    the pipe too).  Contract: every pool worker notices that its parent
+    is gone and exits within a few seconds.
+    """
+
+    def test_workers_exit_once_their_parent_is_killed(self, tmp_path):
+        ck = tmp_path / "killed.jsonl"
+        argv = [
+            sys.executable, "-m", "repro", "compare",
+            "--system", "mini", "--nodes", "32", "--samples", "64",
+            "--modes", "AD0,AD3", "--seed", "11", "-j", "2",
+            "--checkpoint", str(ck),
+        ]
+        proc = subprocess.Popen(
+            argv, env=TestParentSigterm()._env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            # mid-run: both workers forked and a record checkpointed
+            deadline = time.monotonic() + 300
+            while time.monotonic() < deadline:
+                if proc.poll() is not None:
+                    pytest.fail(f"campaign finished (rc {proc.returncode}) before the kill")
+                tree = _procs_mentioning(str(ck))
+                if len(tree) >= 3 and ck.exists() and len(ck.read_text().splitlines()) >= 2:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("the campaign never forked its two workers")
+            workers = [pid for pid in tree if pid != proc.pid]
+            proc.kill()
+            proc.wait(timeout=60)
+
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and _procs_mentioning(str(ck)):
+                time.sleep(0.05)
+            assert _procs_mentioning(str(ck)) == [], f"orphaned workers of {workers}"
+        finally:
+            for pid in _procs_mentioning(str(ck)):
+                os.kill(pid, signal.SIGKILL)

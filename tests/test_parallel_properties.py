@@ -192,7 +192,8 @@ class TestPathCache:
             scenario_pool=4,
         )
         before = path_cache_stats()
-        run_campaign(mini(), cfg)
+        # in this process: under $REPRO_JOBS a pool child would build every path
+        run_campaign(mini(), cfg, jobs=1)
         assert self._counts(before)["misses"] > 0
         gc.collect()
         leaked = [

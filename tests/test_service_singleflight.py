@@ -165,10 +165,12 @@ class TestCrashAtomicity:
         committed = list(entries_dir.glob("*.json"))
         assert committed, "child was killed before committing anything"
         for path in committed:
-            entry = json.loads(path.read_bytes())  # parses: not torn
+            head, line, tail = path.read_bytes().split(b"\n")  # two lines: not torn
+            entry = json.loads(head)
+            assert tail == b""
             assert entry["fingerprint"] == fp
             assert entry["sha256"] == _entry_digest(
-                entry["fingerprint"], entry["rng_key"], entry["record"]
+                entry["fingerprint"], entry["rng_key"], line
             )
         # the reader agrees: every committed entry is servable
         hits = sum(
