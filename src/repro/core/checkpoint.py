@@ -236,24 +236,19 @@ def repair_tail(path: str | os.PathLike) -> bool:
         return True
 
 
-def rewrite(
-    path: str | os.PathLike,
-    fingerprint: dict[str, Any],
-    records: list[Any],
-    codec: LineCodec = RUN_RECORDS,
-) -> None:
-    """Atomically replace a checkpoint with header + the given records.
+def rewrite(path: str | os.PathLike, fingerprint: dict[str, Any], lines: list[str]) -> None:
+    """Atomically replace a checkpoint with header + the given record lines.
 
     Starts a fresh file (:func:`write_header`) and, on ``--resume``,
-    drops error/superseded records.  The new file is built beside the
-    old one and swapped in with ``os.replace``, so a crash or a failed
-    write leaves the previous checkpoint intact.
+    drops error/superseded records, writing the kept lines' bytes as
+    loaded.  The new file is built beside the old one and swapped in
+    with ``os.replace``, so a crash or a failed write leaves the previous
+    checkpoint intact.
     """
-    lines = [json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})]
-    lines += [encode_record(rec, codec) for rec in records]
+    head = json.dumps({"kind": _KIND, "version": _VERSION, "config": fingerprint})
     try:
         durable.write_atomic(
-            path, "\n".join(lines) + "\n", pre_rename="checkpoint.rewrite"
+            path, "\n".join([head, *lines]) + "\n", pre_rename="checkpoint.rewrite"
         )
     except OSError as exc:
         raise StoreUnavailableError("checkpoint rewrite", exc) from exc
@@ -270,6 +265,13 @@ def load_records(
     Raises ``ValueError`` on a header/fingerprint mismatch or on
     corruption anywhere but the final (possibly crash-truncated) line.
     """
+    return {key: rec for key, (rec, _) in _load_lines(path, fingerprint, codec).items()}
+
+
+def _load_lines(
+    path: str | os.PathLike, fingerprint: dict[str, Any], codec: LineCodec
+) -> dict[Hashable, tuple[Any, str]]:
+    """:func:`load_records`, each result with the line it was read from."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -285,7 +287,7 @@ def load_records(
             f"checkpoint {path} was written by a different campaign config: "
             f"{header.get('config')} != {fingerprint}"
         )
-    out: dict[Hashable, Any] = {}
+    out: dict[Hashable, tuple[Any, str]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -297,7 +299,7 @@ def load_records(
             raise ValueError(f"checkpoint {path} is corrupt at line {lineno}")
         rec = codec.decode(d)
         if codec.done(rec):
-            out[codec.key(rec)] = rec
+            out[codec.key(rec)] = (rec, line)
     return out
 
 
@@ -309,12 +311,13 @@ def prepare(
 
     A resume truncates a tail torn by a crash mid-append before reading,
     then atomically rewrites the file without error and superseded lines
-    (a crash mid-rewrite keeps the old file).
+    (a crash mid-rewrite keeps the old file), copying the kept lines
+    rather than encoding their results again.
     """
     if resume and os.path.exists(path):
         repair_tail(path)
-        done = load_records(path, fingerprint, codec)
-        rewrite(path, fingerprint, list(done.values()), codec)
-        return done
+        kept = _load_lines(path, fingerprint, codec)
+        rewrite(path, fingerprint, [line for _, line in kept.values()])
+        return {key: rec for key, (rec, _) in kept.items()}
     write_header(path, fingerprint)
     return {}

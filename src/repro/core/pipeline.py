@@ -1,15 +1,18 @@
 """The one pipeline: plan the slots, run the misses, merge in order.
 
-Every campaign entry point is :func:`run_pipeline` with a different
-backend: :func:`repro.core.experiment.run_campaign` (serial, or whatever
-:func:`select_backend` picks), :func:`repro.parallel.run_campaign_parallel`,
-:func:`repro.dist.run_campaign_distributed` and
-:func:`repro.service.run_campaign_cached`.  A *job* is one kind of work:
-it prepares the parent before a fork, executes one task, answers for a
-task whose worker kept dying, and folds each result in canonical order.
-:class:`CampaignJob` is the campaign kind;
-:class:`repro.core.ensembles.EnsembleJob` runs controlled ensembles on
-the same backends and merger.  Three parts:
+Three entry points run on it, each on the backend :func:`select_backend`
+picks (inline, the fork pool or the queue):
+:func:`repro.core.experiment.run_campaign` and
+:func:`repro.service.run_campaign_cached` (the same, behind a result
+cache) through :func:`run_pipeline`, and
+:func:`repro.core.ensembles.run_ensembles` through the :class:`Merger`.
+A caller that needs a backend knob passes the backend object itself
+(``PoolBackend``, ``DistDispatcher``) to :func:`run_pipeline`.
+A *job* is one kind of work: it prepares the parent before a fork,
+executes one task, answers for a task whose worker kept dying, and
+folds each result in canonical order.  :class:`CampaignJob` is the
+campaign kind; :class:`repro.core.ensembles.EnsembleJob` runs controlled
+ensembles on the same backends and merger.  Three parts:
 
 * the **planner** (:func:`plan_campaign`) labels every canonical
   (sample-major, mode-minor) slot ``resume`` (already in the checkpoint),
@@ -20,7 +23,8 @@ the same backends and merger.  Three parts:
   order, by calling the job: :class:`InlineBackend` here, ``PoolBackend``
   (the fork pool) in :mod:`repro.parallel.campaign`, ``DistDispatcher``
   (the shared-directory queue, campaigns only) in
-  :mod:`repro.dist.coordinator`;
+  :mod:`repro.dist.coordinator`.  Off the parent's process — a fork-pool
+  child or a queue worker — every task runs through :func:`run_task`;
 * the **merger** (:class:`Merger`) commits the contiguous completed
   prefix in canonical order through the job's fold (a campaign appends
   checkpoint lines, cache hits included), forwarding worker trace
@@ -42,6 +46,7 @@ with a cache it creates no queue either.
 from __future__ import annotations
 
 import itertools
+import os
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol
@@ -60,7 +65,13 @@ from repro.core.experiment import (
 )
 from repro.guard.policy import GuardPolicy
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.telemetry import MetricsRegistry, Telemetry, resolve_telemetry
+from repro.telemetry import (
+    MemoryTraceWriter,
+    MetricsRegistry,
+    NULL_TRACE,
+    Telemetry,
+    resolve_telemetry,
+)
 from repro.topology.dragonfly import DragonflyTopology
 
 RESUME, HIT, MISS = "resume", "hit", "miss"
@@ -171,18 +182,23 @@ class Job(Protocol):
 @dataclass
 class CampaignJob:
     """The campaign kind: its fold appends each record's line to the
-    checkpoint; records are encoded only if a checkpoint or store (``wire``)
-    will write them."""
+    checkpoint; records are encoded only if a checkpoint, store or queue
+    (``wire``) will write them."""
 
     top: DragonflyTopology
-    #: the degraded view the job routes on (``top`` when fault-free)
-    run_top: DragonflyTopology
     cfg: CampaignConfig
     background: CampaignBackground
     tel: Telemetry
     checkpoint_path: str | None = None
     worker_ids: dict = field(default_factory=dict)
     wire: bool = False
+    #: the degraded view the job routes on (``top`` when fault-free);
+    #: background scenarios are built against the pristine fabric, as
+    #: ambient traffic predates the fault window
+    run_top: DragonflyTopology = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.run_top = self.top.with_faults(self.cfg.faults)
 
     @property
     def guard(self) -> GuardPolicy | None:
@@ -248,6 +264,36 @@ class InlineBackend:
         for task in misses:
             rec = job.execute(task, job.tel)
             yield TaskResult(index=task.index, worker=None, record=rec, line=job.encode(rec))
+
+
+def run_task(job: Job, task: RunTask, *, heartbeat=None) -> TaskResult:
+    """The one off-process task body, for a fork-pool child and a queue
+    worker alike: run ``task`` on ``job`` under a private telemetry that
+    samples like the job's, and return the record with its line encoded
+    here and the run's events and metrics for the parent's merger.
+    ``heartbeat`` (a :class:`repro.guard.WorkerHeartbeat`) is marked busy
+    for the run."""
+    trace_enabled, metrics_enabled = job.tel.trace.enabled, job.tel.metrics.enabled
+    tel = Telemetry(
+        trace=MemoryTraceWriter() if trace_enabled else NULL_TRACE,
+        metrics=MetricsRegistry(enabled=metrics_enabled),
+        series=job.tel.series,
+    )
+    if heartbeat is not None:
+        heartbeat.start_task()
+    try:
+        rec = job.execute(task, tel)
+    finally:
+        if heartbeat is not None:
+            heartbeat.end_task()
+    return TaskResult(
+        index=task.index,
+        worker=os.getpid(),
+        record=rec,
+        line=job.encode(rec),
+        events=tel.trace.events if trace_enabled else [],
+        metrics=tel.metrics if metrics_enabled else None,
+    )
 
 
 def select_backend(jobs: int | None, queue_dir: str | None, **queue_opts) -> Backend:
@@ -367,10 +413,6 @@ def run_pipeline(
     ``campaign.start`` names the store rather than the backend.
     """
     tel = resolve_telemetry(telemetry)
-    # background scenarios are built against the pristine fabric (ambient
-    # traffic predates the fault window); the job itself routes on the
-    # degraded view
-    run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
     done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
     start_fields = backend.start_fields if cache is None else cache.start_fields
     emit_campaign_start(tel, cfg, done, **start_fields)
@@ -378,7 +420,7 @@ def run_pipeline(
     background = CampaignBackground(top, cfg, background_model, scenarios)
 
     wire = checkpoint_path is not None or cache is not None
-    job = CampaignJob(top, run_top, cfg, background, tel, checkpoint_path, wire=wire)
+    job = CampaignJob(top, cfg, background, tel, checkpoint_path, wire=wire)
     merger = Merger(Plan(), job)
     # leading hits are appended while planning, before any dispatch
     plan = plan_campaign(cfg, done, cache, merger)

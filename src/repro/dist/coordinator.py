@@ -1,10 +1,13 @@
 """Distributed campaign coordinator: the queue backend of the pipeline.
 
-:func:`run_campaign_distributed` is :func:`repro.core.experiment.run_campaign`
-with a :class:`DistDispatcher` backend, under the same contract: the
-returned records, the checkpoint file, and the telemetry stream are
+``run_campaign(queue_dir=...)`` and ``run_campaign_cached(queue_dir=...)``
+run the pipeline (:func:`repro.core.pipeline.run_pipeline`) on a
+:class:`DistDispatcher`, under the serial contract: the returned
+records, the checkpoint file, and the telemetry stream are
 **byte-identical** to a serial run, no matter how many workers
-participate, on how many hosts, or how many of them crash.
+participate, on how many hosts, or how many of them crash.  A caller
+that needs a knob (lease ``ttl``, ``retry_budget``, ``fallback_after``,
+``poll``) builds the :class:`WorkQueue` and the dispatcher itself.
 
 :class:`DistDispatcher` owns the queue protocol: it materializes the
 queue (manifest + one content-addressed task per miss), sweeps
@@ -17,6 +20,9 @@ exactly once, in discovery order; the pipeline's merger
 builds the background pool only for a fallback or for an exhausted
 task's error record; a campaign the fleet finishes costs the coordinator
 no pool.  Any campaign with misses can use it, cached ones included.
+Every payload it writes or reads goes through
+:func:`repro.dist.queue.result_payload` / :func:`~repro.dist.queue.payload_result`,
+as a worker's does.
 
 Observability: ``dist.worker`` (first sighting of each worker),
 ``dist.task_stolen`` (a speculative duplicate won), ``dist.lease_reclaimed``
@@ -26,18 +32,20 @@ Observability: ``dist.worker`` (first sighting of each worker),
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Iterator
 
-from repro.core import checkpoint as ckpt
-from repro.core.experiment import CampaignConfig, RunRecord, _effective_jobs
-from repro.core.pipeline import CampaignJob, RunTask, TaskResult, run_pipeline
-from repro.dist.manifest import build_tasks, campaign_to_manifest
-from repro.dist.queue import QueueTask, QueueUnavailable, WorkQueue
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.telemetry import MetricsRegistry, Telemetry
-from repro.topology.dragonfly import DragonflyTopology
+from repro.core.experiment import _effective_jobs
+from repro.core.pipeline import CampaignJob, RunTask, TaskResult
+from repro.dist.manifest import campaign_to_manifest
+from repro.dist.queue import (
+    QueueTask,
+    QueueUnavailable,
+    WorkQueue,
+    payload_result,
+    result_payload,
+    task_id,
+)
 from repro.util.backoff import Backoff, BackoffPolicy
 
 #: queue-outage schedule on the coordinator side
@@ -65,11 +73,7 @@ def _local_fallback(
     produced: list[tuple[str, dict]] = []
     for res in PoolBackend(jobs).run(job, remaining):
         task = by_index[res.index]
-        payload = task.result(
-            res.line or ckpt.encode_record(res.record), "coordinator:fallback", res.attempts,
-            events=res.events,
-            metrics=res.metrics.to_wire() if res.metrics is not None else None,
-        )
+        payload = result_payload(task, res, "coordinator:fallback", res.attempts)
         produced.append((task.tid, payload))
         try:
             queue.commit_result(task.tid, payload)
@@ -111,9 +115,14 @@ class DistDispatcher:
         tel = job.tel
         queue = self.queue
         worker_ids = job.worker_ids
-        wanted = {t.index for t in misses}
-        tasks = [t for t in build_tasks(job.top, job.cfg) if t.index in wanted]
-        queue.create(campaign_to_manifest(job.top, job.cfg, tel), tasks)
+        # every payload carries its record's line, encoded where it ran
+        job.wire = True
+        manifest = campaign_to_manifest(job.top, job.cfg, tel)
+        fp = manifest["fingerprint"]
+        tasks = [
+            QueueTask(task_id(fp, t.sample, t.mode), t.index, t.sample, t.mode) for t in misses
+        ]
+        queue.create(manifest, tasks)
 
         m = tel.metrics
         if m.enabled:
@@ -138,16 +147,7 @@ class DistDispatcher:
         def _result(payload: dict) -> TaskResult:
             if m.enabled:
                 m.counter("dist_tasks_done_total", "runs merged").inc()
-            wire = payload.get("metrics")
-            line = payload["line"]
-            return TaskResult(
-                index=int(payload["index"]),
-                worker=str(payload.get("worker", "?")),
-                record=ckpt.record_from_dict(json.loads(line)),
-                line=line,
-                events=payload.get("events") or [],
-                metrics=MetricsRegistry.from_wire(wire) if wire is not None else None,
-            )
+            return payload_result(payload)
 
         def _note_attempts(t: QueueTask, used: int) -> None:
             """Record attempt movement; >1 means an expired lease got
@@ -231,9 +231,8 @@ class DistDispatcher:
                             RuntimeError(f"retry budget exhausted after {used} attempts"),
                             used,
                         )
-                        queue.commit_result(
-                            t.tid, t.result(ckpt.encode_record(rec), "coordinator", used)
-                        )
+                        res = TaskResult(t.index, None, rec, job.encode(rec))
+                        queue.commit_result(t.tid, result_payload(t, res, "coordinator", used))
                         tel.event(
                             "dist.task_exhausted",
                             tid=t.tid,
@@ -296,49 +295,3 @@ class DistDispatcher:
                 tel.event("dist.queue_unavailable", outages=outage)
                 backoff.sleep(min(outage, 8))
 
-
-def run_campaign_distributed(
-    top: DragonflyTopology,
-    cfg: CampaignConfig,
-    *,
-    queue_dir: str,
-    background_model: BackgroundModel | None = None,
-    scenarios: list[BackgroundScenario] | None = None,
-    telemetry: Telemetry | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
-    jobs: int | None = None,
-    ttl: float | None = None,
-    retry_budget: int | None = None,
-    fallback_after: float = DEFAULT_FALLBACK_AFTER,
-    poll: float = 0.2,
-    status_every: float = 5.0,
-) -> list[RunRecord]:
-    """Run the campaign over a shared-directory work queue.
-
-    ``jobs`` only sizes the local *fallback* pool (used when no worker
-    ever appears or the whole fleet dies); a healthy distributed
-    campaign executes nothing in this process.
-    """
-    kw = {}
-    if ttl is not None:
-        kw["ttl"] = ttl
-    if retry_budget is not None:
-        kw["retry_budget"] = retry_budget
-    backend = DistDispatcher(
-        WorkQueue(queue_dir, **kw),
-        jobs=jobs,
-        fallback_after=fallback_after,
-        poll=poll,
-        status_every=status_every,
-    )
-    return run_pipeline(
-        top,
-        cfg,
-        backend,
-        background_model=background_model,
-        scenarios=scenarios,
-        telemetry=telemetry,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-    ).records

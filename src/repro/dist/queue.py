@@ -51,12 +51,15 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.chaos.failpoints import failpoint
 from repro.util import durable
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import TaskResult
 
 MANIFEST_NAME = "manifest.json"
 _KIND = "repro-dist-queue"
@@ -107,12 +110,7 @@ class QueueTask:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "tid": self.tid,
-            "index": self.index,
-            "sample": self.sample,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "QueueTask":
@@ -123,17 +121,36 @@ class QueueTask:
             mode=str(d["mode"]),
         )
 
-    def result(
-        self, line: str, worker: str, attempt: int, *, events: list | None = None,
-        metrics: dict | None = None, speculative: bool = False,
-    ) -> dict:
-        """The payload committing this task: the record's checkpoint line
-        plus the run's trace events, metrics wire and provenance."""
-        return {
-            "tid": self.tid, "index": self.index, "line": line, "events": events or [],
-            "metrics": metrics, "worker": worker, "attempt": attempt,
-            "speculative": speculative,
-        }
+
+def result_payload(
+    task: QueueTask, res: TaskResult, worker: str, attempt: int, *, speculative: bool = False
+) -> dict:
+    """The payload committing ``task``: ``res``'s checkpoint line, trace
+    events and metrics wire, plus its provenance (who ran which attempt)."""
+    return {
+        "tid": task.tid, "index": task.index, "line": res.line, "events": res.events,
+        "metrics": res.metrics.to_wire() if res.metrics is not None else None,
+        "worker": worker, "attempt": attempt, "speculative": speculative,
+    }
+
+
+def payload_result(payload: dict) -> TaskResult:
+    """The :class:`TaskResult` a committed payload carries, keyed to the
+    worker that ran it (:func:`result_payload` read back)."""
+    # imported here: scanning a queue (``repro queue-status``) loads no engine
+    from repro.core import checkpoint as ckpt
+    from repro.core.pipeline import TaskResult
+    from repro.telemetry import MetricsRegistry
+
+    wire, line = payload.get("metrics"), payload["line"]
+    return TaskResult(
+        index=int(payload["index"]),
+        worker=str(payload.get("worker", "?")),
+        record=ckpt.record_from_dict(json.loads(line)),
+        line=line,
+        events=payload.get("events") or [],
+        metrics=MetricsRegistry.from_wire(wire) if wire is not None else None,
+    )
 
 
 @dataclass

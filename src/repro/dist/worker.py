@@ -11,13 +11,16 @@ any instant and a fresh one (on any host) picks up where it left off:
   increments the attempt counter, and tasks whose retry budget is
   exhausted are skipped (the coordinator writes their error records).
 * **execute**: rebuild ``(topology, config)`` from the manifest and run
-  :func:`repro.core.experiment.execute_run` — the identical unit the
-  serial loop and fork pool run, deriving the run's RNG stream from the
-  same key, so the produced record is byte-for-byte the serial one.
+  the task through :func:`repro.core.pipeline.run_task` — the body a
+  fork-pool child runs, calling the same
+  :func:`repro.core.experiment.execute_run` the serial loop does and
+  deriving the run's RNG stream from the same key, so the produced
+  record is byte-for-byte the serial one.
   A renewal thread re-stamps the lease every ``ttl/3``; if renewal
   discovers the lease was stolen, the run finishes anyway and the
   commit races — first-commit-wins makes the loser harmless.
-* **commit**: the complete result payload (the record's checkpoint
+* **commit**: the complete result payload
+  (:func:`repro.dist.queue.result_payload`: the record's checkpoint
   ``line``, encoded once here, + trace events + metrics wire) lands via
   write-tmp → fsync → link.
 * **speculate**: when nothing is claimable but live leases remain (the
@@ -35,14 +38,13 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.chaos.failpoints import failpoint
-from repro.core import checkpoint as ckpt
 from repro.core.experiment import CampaignBackground
-from repro.core.pipeline import CampaignJob
+from repro.core.pipeline import CampaignJob, run_task
 from repro.dist.manifest import manifest_series, manifest_to_campaign
-from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue
+from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue, result_payload
 from repro.guard import WorkerHeartbeat, set_worker_heartbeat
 from repro.telemetry import (
     MemoryTraceWriter,
@@ -74,15 +76,7 @@ class WorkerStats:
     parks: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "executed": self.executed,
-            "committed": self.committed,
-            "duplicates": self.duplicates,
-            "reclaims": self.reclaims,
-            "speculated": self.speculated,
-            "lost_leases": self.lost_leases,
-            "parks": self.parks,
-        }
+        return asdict(self)
 
 
 class _LeaseRenewer:
@@ -145,9 +139,6 @@ class DistWorker:
         # prepared once the manifest appears
         self._ready = False
         self._job: CampaignJob | None = None
-        self._series = None
-        self._trace_enabled = False
-        self._metrics_enabled = False
         self._tasks: list[QueueTask] = []
         self._speculated: set[str] = set()
         self._hb: WorkerHeartbeat | None = None
@@ -170,15 +161,15 @@ class DistWorker:
         top, cfg = manifest_to_campaign(
             manifest, bundle_dir=str(self.queue.bundles_dir)
         )
-        # the pool is built by the first _execute, not by joining a queue
-        self._job = CampaignJob(
-            top, top.with_faults(cfg.faults) if cfg.faults is not None else top,
-            cfg, CampaignBackground(top, cfg), Telemetry(),
-        )
-        self._series = manifest_series(manifest)
+        # the job's telemetry only says what each run's private one
+        # records (run_task); the first _execute builds the pool
         t = manifest.get("telemetry", {})
-        self._trace_enabled = bool(t.get("trace", False))
-        self._metrics_enabled = bool(t.get("metrics", False))
+        tel = Telemetry(
+            trace=MemoryTraceWriter() if t.get("trace") else NULL_TRACE,
+            metrics=MetricsRegistry(enabled=bool(t.get("metrics"))),
+            series=manifest_series(manifest),
+        )
+        self._job = CampaignJob(top, cfg, CampaignBackground(top, cfg), tel, wire=True)
         self._tasks = self.queue.manifest_tasks(manifest)
         self.queue.ttl = float(manifest.get("ttl", self.queue.ttl))
         self.queue.retry_budget = int(
@@ -202,11 +193,6 @@ class DistWorker:
         """Run one task and build its (complete) result payload."""
         # the first draw builds the pool, outside the heartbeat window
         self._job.background.draws(task.sample)
-        tel = Telemetry(
-            trace=MemoryTraceWriter() if self._trace_enabled else NULL_TRACE,
-            metrics=MetricsRegistry(enabled=self._metrics_enabled),
-            series=self._series,
-        )
         try:
             failpoint(
                 "worker.heartbeat",
@@ -214,19 +200,9 @@ class DistWorker:
             )
         except OSError:
             pass  # a heartbeat is advisory; losing it never fails the run
-        if self._hb is not None:
-            self._hb.start_task()
-        try:
-            rec = self._job.execute(task, tel)
-        finally:
-            if self._hb is not None:
-                self._hb.end_task()
+        res = run_task(self._job, task, heartbeat=self._hb)
         self.stats.executed += 1
-        return task.result(
-            ckpt.encode_record(rec), self.owner, attempt, speculative=speculative,
-            events=tel.trace.events if self._trace_enabled else [],
-            metrics=tel.metrics.to_wire() if self._metrics_enabled else None,
-        )
+        return result_payload(task, res, self.owner, attempt, speculative=speculative)
 
     def _commit(self, task: QueueTask, payload: dict, *, speculative: bool) -> None:
         won = self.queue.commit_result(task.tid, payload)

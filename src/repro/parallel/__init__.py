@@ -18,7 +18,6 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.pipeline": "RunTask TaskResult",
-    ".campaign": "run_campaign_parallel",
     "repro.core.ensembles": "run_ensembles",
     ".executor": "TaskOutcome run_tasks",
 })

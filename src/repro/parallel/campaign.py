@@ -1,8 +1,8 @@
 """The fork-pool backend of the pipeline.
 
-:func:`run_campaign_parallel` fans a campaign's runs over worker
-processes and produces output **byte-identical** to
-:func:`repro.core.experiment.run_campaign` with ``jobs=1``:
+:class:`PoolBackend` fans a campaign's runs over worker processes and
+produces output **byte-identical** to :func:`repro.core.experiment.run_campaign`
+with ``jobs=1``:
 
 * Every run's RNG stream is re-derived in the worker from the same
   ``(seed, app, size, sample, mode)`` key the serial loop uses — no
@@ -18,10 +18,11 @@ processes and produces output **byte-identical** to
   retried on a rebuilt pool a bounded number of times, then isolated
   into an error-status record as well.
 
-:class:`PoolBackend` is the one fork pool: ``-j N`` campaigns, the
+:class:`PoolBackend` is the one fork pool: ``run_campaign(jobs=N)``, the
 cache's misses under ``--cache -j N``, the queue coordinator's local
 fallback, and ``ensemble --workers N``.  Its workers run whatever job
-they inherit (:class:`repro.core.pipeline.Job`).
+they inherit (:class:`repro.core.pipeline.Job`) through
+:func:`repro.core.pipeline.run_task`, the task body queue workers share.
 """
 
 from __future__ import annotations
@@ -32,18 +33,9 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.experiment import CampaignConfig, RunRecord
-from repro.core.pipeline import Job, RunTask, TaskResult, run_pipeline
+from repro.core.pipeline import Job, RunTask, TaskResult, run_task
 from repro.guard import Watchdog, WorkerHeartbeat, set_worker_heartbeat
 from repro.parallel.executor import run_tasks
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.telemetry import (
-    MemoryTraceWriter,
-    MetricsRegistry,
-    NULL_TRACE,
-    Telemetry,
-)
-from repro.topology.dragonfly import DragonflyTopology
 
 #: the job a worker runs, inherited by memory image under ``fork``
 #: (never pickled), so it can hold live topologies and the scenario pool
@@ -63,32 +55,8 @@ def _init_worker(job: Job, heartbeat_dir: str | None) -> None:
 
 
 def _run_task(task: RunTask) -> TaskResult:
-    """The one fork-pool worker entry: run ``task`` on the inherited job
-    under a private telemetry whose events and metrics go back to the
-    parent's merger, with the result's line encoded here."""
-    job = _JOB
-    trace_enabled, metrics_enabled = job.tel.trace.enabled, job.tel.metrics.enabled
-    tel = Telemetry(
-        trace=MemoryTraceWriter() if trace_enabled else NULL_TRACE,
-        metrics=MetricsRegistry(enabled=metrics_enabled),
-        # the job's SeriesConfig, so workers sample like the parent
-        series=job.tel.series,
-    )
-    if _HB is not None:
-        _HB.start_task()
-    try:
-        rec = job.execute(task, tel)
-    finally:
-        if _HB is not None:
-            _HB.end_task()
-    return TaskResult(
-        index=task.index,
-        worker=os.getpid(),
-        record=rec,
-        line=job.encode(rec),
-        events=tel.trace.events if trace_enabled else [],
-        metrics=tel.metrics if metrics_enabled else None,
-    )
+    """The one fork-pool worker entry: ``task`` on the inherited job."""
+    return run_task(_JOB, task, heartbeat=_HB)
 
 
 @dataclass
@@ -159,31 +127,3 @@ class PoolBackend:
             if heartbeat_dir is not None:
                 shutil.rmtree(heartbeat_dir, ignore_errors=True)
 
-
-def run_campaign_parallel(
-    top: DragonflyTopology,
-    cfg: CampaignConfig,
-    *,
-    jobs: int,
-    background_model: BackgroundModel | None = None,
-    scenarios: list[BackgroundScenario] | None = None,
-    telemetry: Telemetry | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
-    scramble_seed: int | None = None,
-    max_pool_retries: int = 2,
-) -> list[RunRecord]:
-    """``run_campaign`` on a :class:`PoolBackend` of ``jobs`` workers,
-    whatever ``jobs`` is (``run_campaign`` picks this backend for
-    jobs>1); ``scramble_seed`` and ``max_pool_retries`` go to it."""
-    backend = PoolBackend(jobs, max_retries=max_pool_retries, scramble_seed=scramble_seed)
-    return run_pipeline(
-        top,
-        cfg,
-        backend,
-        background_model=background_model,
-        scenarios=scenarios,
-        telemetry=telemetry,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-    ).records

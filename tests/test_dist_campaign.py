@@ -17,14 +17,15 @@ from repro.apps import MILC
 from repro.core.biases import AD0, AD3
 from repro.core.checkpoint import record_to_dict
 from repro.core.experiment import CampaignConfig, campaign_fingerprint, run_campaign
+from repro.core.pipeline import run_pipeline
 from repro.dist import (
+    DistDispatcher,
     DistWorker,
     NotDistributable,
     WorkQueue,
     build_tasks,
     campaign_to_manifest,
     manifest_to_campaign,
-    run_campaign_distributed,
 )
 from repro.faults import FaultSchedule
 from repro.guard import GuardPolicy
@@ -139,15 +140,13 @@ class TestDistributedEquivalence:
             w.start()
         tel = Telemetry(trace=MemoryTraceWriter(), metrics=MetricsRegistry())
         try:
-            records = run_campaign_distributed(
+            records = run_pipeline(
                 top,
                 _cfg(),
-                queue_dir=str(qdir),
+                DistDispatcher(WorkQueue(qdir), poll=0.05, fallback_after=300.0),
                 telemetry=tel,
                 checkpoint_path=str(ckpt),
-                poll=0.05,
-                fallback_after=300.0,
-            )
+            ).records
         finally:
             for w in workers:
                 w.join(timeout=60)
@@ -167,16 +166,15 @@ class TestDistributedEquivalence:
         serial_records, serial_bytes = serial
         ckpt = tmp_path / "fb.jsonl"
         tel = Telemetry(trace=MemoryTraceWriter(), metrics=MetricsRegistry())
-        records = run_campaign_distributed(
+        records = run_pipeline(
             top,
             _cfg(),
-            queue_dir=str(tmp_path / "queue"),
+            DistDispatcher(
+                WorkQueue(tmp_path / "queue"), jobs=2, poll=0.05, fallback_after=0.5
+            ),
             telemetry=tel,
             checkpoint_path=str(ckpt),
-            jobs=2,
-            poll=0.05,
-            fallback_after=0.5,
-        )
+        ).records
         assert _dicts(records) == _dicts(serial_records)
         assert ckpt.read_bytes() == serial_bytes
         fallback = tel.trace.of_type("dist.fallback")
@@ -188,16 +186,15 @@ class TestDistributedEquivalence:
         lines = serial_bytes.decode().splitlines(True)
         part = tmp_path / "part.jsonl"
         part.write_text("".join(lines[: 1 + len(serial_records) // 2]))
-        records = run_campaign_distributed(
+        records = run_pipeline(
             top,
             _cfg(),
-            queue_dir=str(tmp_path / "queue"),
+            DistDispatcher(
+                WorkQueue(tmp_path / "queue"), jobs=2, poll=0.05, fallback_after=0.5
+            ),
             checkpoint_path=str(part),
             resume=True,
-            jobs=2,
-            poll=0.05,
-            fallback_after=0.5,
-        )
+        ).records
         assert _dicts(records) == _dicts(serial_records)
         assert part.read_bytes() == serial_bytes
         # resumed runs were never queued

@@ -23,7 +23,9 @@ from repro.apps import MILC
 from repro.core.biases import AD0, AD3
 from repro.core.checkpoint import record_to_dict
 from repro.core.experiment import CampaignConfig, run_campaign
-from repro.dist import WorkQueue, run_campaign_distributed
+from repro.core.pipeline import run_pipeline
+from repro.dist import DistDispatcher, WorkQueue
+from repro.dist.queue import DEFAULT_RETRY_BUDGET
 from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
 from repro.topology.systems import mini
 
@@ -78,17 +80,23 @@ def _finish(proc, expect_ok=True, timeout=120):
 
 
 class _Coordinator(threading.Thread):
-    """run_campaign_distributed on a thread, capturing its outcome."""
+    """A queue campaign (``run_pipeline`` on a :class:`DistDispatcher`)
+    on a thread, capturing its outcome; ``ttl``/``retry_budget`` go to
+    the queue, ``jobs``/``poll``/``fallback_after`` to the dispatcher."""
 
-    def __init__(self, **kw):
+    def __init__(self, *, top, cfg, queue_dir, ttl, poll, fallback_after,
+                 retry_budget=DEFAULT_RETRY_BUDGET, jobs=None, **kw):
         super().__init__(daemon=True)
+        queue = WorkQueue(queue_dir, ttl=ttl, retry_budget=retry_budget)
+        backend = DistDispatcher(queue, jobs=jobs, poll=poll, fallback_after=fallback_after)
+        self.args = (top, cfg, backend)
         self.kw = kw
         self.records = None
         self.error = None
 
     def run(self):
         try:
-            self.records = run_campaign_distributed(**self.kw)
+            self.records = run_pipeline(*self.args, **self.kw).records
         except BaseException as exc:  # surfaced by the test's join
             self.error = exc
 

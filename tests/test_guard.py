@@ -34,6 +34,7 @@ from repro.apps import MILC
 from repro.core.biases import AD0, AD3
 from repro.core.checkpoint import record_to_dict
 from repro.core.experiment import CampaignConfig, run_campaign
+from repro.core.pipeline import run_pipeline
 from repro.faults import FaultSchedule, FaultSpecError
 from repro.guard import (
     GuardPolicy,
@@ -53,7 +54,7 @@ from repro.guard import (
 )
 from repro.network.fluid import FlowSet, solve_fluid
 from repro.network.packet_sim import InjectionSpec, PacketSimulator
-from repro.parallel import run_campaign_parallel
+from repro.parallel.campaign import PoolBackend
 from repro.service import RunRecordStore, run_campaign_cached
 from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
 from repro.telemetry.report import order_events
@@ -424,7 +425,7 @@ class TestWatchdog:
 
 
 def _hung_parallel(top, cfg, tel, tmp_path):
-    return run_campaign_parallel(top, cfg, jobs=2, telemetry=tel, max_pool_retries=1)
+    return run_pipeline(top, cfg, PoolBackend(2, max_retries=1), telemetry=tel).records
 
 
 def _hung_cached(top, cfg, tel, tmp_path):

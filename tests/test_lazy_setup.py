@@ -29,7 +29,8 @@ from repro.core.experiment import (
     drawn_slots,
     run_campaign,
 )
-from repro.dist import DistWorker, WorkQueue, run_campaign_distributed
+from repro.core.pipeline import run_pipeline
+from repro.dist import DistDispatcher, DistWorker, WorkQueue
 from repro.scheduler import background
 from repro.scheduler.background import BackgroundModel
 from repro.service import RunRecordStore, entry_key, run_campaign_cached
@@ -195,10 +196,8 @@ class TestPoolBuiltOnlyWhenNeeded:
         )
         worker.start()
         try:
-            records = run_campaign_distributed(
-                top, _cfg(), queue_dir=str(qdir), checkpoint_path=str(ck),
-                fallback_after=120.0, poll=0.05,
-            )
+            backend = DistDispatcher(WorkQueue(qdir), fallback_after=120.0, poll=0.05)
+            records = run_pipeline(top, _cfg(), backend, checkpoint_path=str(ck)).records
         finally:
             worker.join(timeout=60)
             if worker.is_alive():

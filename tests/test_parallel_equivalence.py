@@ -22,8 +22,10 @@ from repro.core.biases import AD0, AD1, AD2, AD3
 from repro.core.checkpoint import load_records, record_to_dict
 from repro.core.ensembles import EnsembleConfig
 from repro.core.experiment import CampaignConfig, run_campaign
+from repro.core.pipeline import run_pipeline
 from repro.faults import FaultSchedule
-from repro.parallel import run_campaign_parallel, run_ensembles
+from repro.parallel import run_ensembles
+from repro.parallel.campaign import PoolBackend
 from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
 from repro.topology.systems import mini
 
@@ -63,7 +65,7 @@ class TestCampaignEquivalence:
         serial = _dicts(run_campaign(top, cfg, jobs=1))
         for seed in (1, 2, 3):
             scrambled = _dicts(
-                run_campaign_parallel(top, cfg, jobs=3, scramble_seed=seed)
+                run_pipeline(top, cfg, PoolBackend(3, scramble_seed=seed)).records
             )
             assert scrambled == serial
 
@@ -85,8 +87,8 @@ class TestCampaignEquivalence:
         ps = tmp_path / "scrambled.jsonl"
         run_campaign(top, cfg, jobs=1, checkpoint_path=str(p1))
         run_campaign(top, cfg, jobs=4, checkpoint_path=str(p4))
-        run_campaign_parallel(
-            top, cfg, jobs=3, checkpoint_path=str(ps), scramble_seed=5
+        run_pipeline(
+            top, cfg, PoolBackend(3, scramble_seed=5), checkpoint_path=str(ps)
         )
         assert p4.read_bytes() == p1.read_bytes()
         assert ps.read_bytes() == p1.read_bytes()

@@ -28,7 +28,9 @@ from repro.apps import MILC
 from repro.core.biases import AD0, AD3
 from repro.core.checkpoint import record_to_dict
 from repro.core.experiment import CampaignConfig, run_campaign
-from repro.parallel import run_campaign_parallel, run_tasks
+from repro.core.pipeline import run_pipeline
+from repro.parallel import run_tasks
+from repro.parallel.campaign import PoolBackend
 from repro.topology.systems import mini
 
 pytestmark = pytest.mark.filterwarnings("ignore::repro.network.fluid.NonConvergenceWarning")
@@ -60,7 +62,7 @@ class TestWorkerExceptions:
 
         monkeypatch.setattr(exp, "run_app_once", exploding)
         serial = run_campaign(top, cfg, jobs=1)
-        parallel = run_campaign_parallel(top, cfg, jobs=2)
+        parallel = run_campaign(top, cfg, jobs=2)
         assert _dicts(parallel) == _dicts(serial)
         assert all(r.status == "error" for r in parallel)
         assert "solver exploded" in parallel[0].error
@@ -75,7 +77,7 @@ class TestWorkerExceptions:
         # the module-level sample_draws
         monkeypatch.setattr(exp, "sample_draws", boom)
         with pytest.raises(RuntimeError, match="harness bug"):
-            run_campaign_parallel(top, _cfg(), jobs=2)
+            run_campaign(top, _cfg(), jobs=2)
 
 
 class TestDeadWorkers:
@@ -94,7 +96,7 @@ class TestDeadWorkers:
             return real(*a, **kw)
 
         monkeypatch.setattr(exp, "run_app_once", die_once)
-        parallel = _dicts(run_campaign_parallel(top, cfg, jobs=2))
+        parallel = _dicts(run_campaign(top, cfg, jobs=2))
         assert marker.exists()
         assert parallel == serial
 
@@ -105,7 +107,7 @@ class TestDeadWorkers:
             os._exit(13)
 
         monkeypatch.setattr(exp, "run_app_once", always_die)
-        records = run_campaign_parallel(top, cfg, jobs=2, max_pool_retries=1)
+        records = run_pipeline(top, cfg, PoolBackend(2, max_retries=1)).records
         assert len(records) == cfg.samples * 2
         assert all(r.status == "error" for r in records)
         assert all(r.attempts == 2 for r in records)
@@ -152,7 +154,7 @@ class TestInterrupts:
 
         monkeypatch.setattr(ckpt_mod, "append_record", interrupting)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign_parallel(top, cfg, jobs=3, checkpoint_path=str(part))
+            run_campaign(top, cfg, jobs=3, checkpoint_path=str(part))
         state["armed"] = False
 
         # clean prefix: header plus the two flushed records

@@ -26,7 +26,8 @@ import warnings
 import pytest
 
 from repro.core.experiment import campaign_fingerprint, run_campaign
-from repro.dist import DistWorker, WorkQueue, run_campaign_distributed
+from repro.core.pipeline import run_pipeline
+from repro.dist import DistDispatcher, DistWorker, WorkQueue
 from repro.service import RunRecordStore, entry_key, run_campaign_cached
 from repro.telemetry import (
     MemoryTraceWriter,
@@ -67,13 +68,14 @@ def _store(state, top, tmp_path):
 
 def _run(backend, store, top, ck, resume, qdir):
     kw = {"checkpoint_path": str(ck), "resume": resume}
-    if backend == "queue":
-        kw.update(queue_dir=str(qdir), **QUEUE_OPTS)
     jobs = 2 if backend == "pool" else 1
     if store is not None:
+        if backend == "queue":
+            kw.update(queue_dir=str(qdir), **QUEUE_OPTS)
         return run_campaign_cached(top, _cfg(), store=store, jobs=jobs, **kw).records
     if backend == "queue":
-        return run_campaign_distributed(top, _cfg(), **kw)
+        backend = DistDispatcher(WorkQueue(qdir), **QUEUE_OPTS)
+        return run_pipeline(top, _cfg(), backend, **kw).records
     return run_campaign(top, _cfg(), jobs=jobs, **kw)
 
 

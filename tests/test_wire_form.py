@@ -3,10 +3,11 @@
 The process that executes a run encodes the record once
 (:func:`repro.core.checkpoint.encode_record`); the fork pool, the queue
 payload, the result store and the checkpoint then carry those bytes
-unchanged, and a store hit encodes nothing.  These tests count record
-encodes (``json.dumps`` of a record dict, in any process or thread),
-pin the version-2 entry layout, and check that a warm replay's
-checkpoint is the cold serial one whichever backend filled the store.
+unchanged, a store hit encodes nothing, and a resume copies the kept
+checkpoint lines.  These tests count record encodes (``json.dumps`` of
+a record dict, in any process or thread), pin the version-2 entry
+layout, and check that a warm replay's checkpoint is the cold serial
+one whichever backend filled the store.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.core.experiment import campaign_fingerprint
+from repro.core.experiment import campaign_fingerprint, run_campaign
 from repro.dist import DistWorker, WorkQueue
 from repro.service import RunRecordStore, entry_key, run_campaign_cached
 from repro.service.store import _canonical
@@ -135,6 +136,18 @@ class TestEncodeCount:
         assert encodes.lines() == []
         assert ck.read_bytes() == serial[1]
         assert _dicts(out.records) == serial[0]
+
+
+    def test_resuming_a_finished_campaign_encodes_no_record(
+        self, top, serial, encodes, tmp_path
+    ):
+        ck = tmp_path / "ck.jsonl"
+        ck.write_bytes(serial[1])
+        records = run_campaign(top, _cfg(), jobs=1, checkpoint_path=str(ck), resume=True)
+        # the resume rewrite copies the kept lines rather than encoding them
+        assert encodes.lines() == []
+        assert ck.read_bytes() == serial[1]
+        assert _dicts(records) == serial[0]
 
 
 class TestEntryLayout:
