@@ -39,6 +39,7 @@ from repro.chaos import failpoints as fp
 from repro.chaos.schedule import CRASH_EXIT_CODE, ChaosSchedule
 from repro.core.checkpoint import StoreUnavailableError
 from repro.core.experiment import CampaignConfig, run_campaign
+from repro.dist.manifest import build_tasks
 from repro.service.executor import run_campaign_cached
 from repro.service.store import RunRecordStore
 from repro.topology.dragonfly import DragonflyTopology
@@ -133,9 +134,8 @@ def _load_fired(log_path: Path) -> list[dict]:
     return out
 
 
-def _queue_results_valid(queue_dir: Path) -> tuple[bool, str]:
-    """Every committed result parses and names a task of this campaign."""
-    task_ids = {p.stem for p in (queue_dir / "tasks").glob("*.json")}
+def _queue_results_valid(queue_dir: Path, task_ids: set[str]) -> tuple[bool, str]:
+    """Every committed result parses and names one of ``task_ids``."""
     results = sorted((queue_dir / "results").glob("*.json"))
     for path in results:
         try:
@@ -238,7 +238,10 @@ def run_soak(
         )
     )
     if queue_dir is not None and queue_dir.exists():
-        held, detail = _queue_results_valid(queue_dir)
+        # every run of the campaign: each restarted epoch rewrites the
+        # manifest with only its misses, and earlier epochs' results stay
+        task_ids = {t.tid for t in build_tasks(top, cfg)}
+        held, detail = _queue_results_valid(queue_dir, task_ids)
         report.invariants.append(("queue results complete and owned", held, detail))
     return report
 

@@ -682,51 +682,53 @@ def cmd_report(args) -> int:
             "was launched without --trace"
         )
         return 0
-    summary = summarize_trace(scan.events, top=args.top)
-    summary.source = str(path)
-    print(format_summary(summary))
+    print(format_summary(summarize_trace(scan.events, top=args.top), str(path)))
     return 0
 
 
-def _report_follow(args, path: Path) -> int:
-    """``report --follow``: re-summarize as the trace grows."""
-    from repro.telemetry.report import format_summary, summarize_trace
+def _follow(args, path, fold: CampaignProgress):
+    """Poll the trace at ``path`` (None: no trace) every ``--interval``
+    until ``--max-seconds``; feed each poll's new events into ``fold``,
+    then yield them."""
     from repro.telemetry.stream import TraceTail
 
-    interval = max(float(getattr(args, "interval", 2.0) or 2.0), 0.05)
+    tail = TraceTail(path) if path else None
     max_seconds = getattr(args, "max_seconds", None)
     deadline = time.monotonic() + max_seconds if max_seconds else None
-    tail = TraceTail(path)
-    events: list[dict] = []
     while True:
-        fresh = tail.poll()
+        fresh = tail.poll() if tail is not None else []
+        fold.feed_many(fresh)
+        yield fresh
+        if deadline is not None and time.monotonic() >= deadline:
+            return
+        time.sleep(max(float(args.interval), 0.05))
+
+
+def _report_follow(args, path: Path) -> int:
+    """``report --follow``: fold each new event as the trace grows."""
+    from repro.telemetry.report import format_summary
+    from repro.telemetry.stream import CampaignProgress
+
+    fold = CampaignProgress(top=args.top, keep_values=True)
+    for fresh in _follow(args, path, fold):
         if fresh:
-            events.extend(fresh)
-            summary = summarize_trace(events, top=args.top)
-            summary.source = f"{path} (following)"
             try:
-                print(format_summary(summary))
+                print(format_summary(fold, f"{path} (following)"))
                 print("-" * 64, flush=True)
             except BrokenPipeError:
                 return 0  # downstream pager/head closed the pipe
-            if any(e.get("ev") == "campaign.end" for e in fresh):
+            if fold.ended_at is not None:
                 return 0
-        if deadline is not None and time.monotonic() >= deadline:
-            return 0
-        time.sleep(interval)
+    return 0
 
 
 def cmd_top(args) -> int:
     """Live campaign progress from a trace another process is writing."""
-    from repro.telemetry.stream import CampaignProgress, TraceTail
+    from repro.telemetry.stream import CampaignProgress
     from repro.telemetry.top import heartbeat_ages, render_top
 
-    tail = TraceTail(args.trace_path)
     prog = CampaignProgress()
-    max_seconds = getattr(args, "max_seconds", None)
-    deadline = time.monotonic() + max_seconds if max_seconds else None
-    while True:
-        prog.feed_many(tail.poll())
+    for _ in _follow(args, args.trace_path, prog):
         hb_dir = args.heartbeats or prog.heartbeat_dir
         frame = render_top(prog.snapshot(), heartbeats=heartbeat_ages(hb_dir))
         if args.once:
@@ -736,23 +738,31 @@ def cmd_top(args) -> int:
         sys.stdout.flush()
         if prog.ended_at is not None:
             return 0
-        if deadline is not None and time.monotonic() >= deadline:
-            return 0
-        time.sleep(max(float(args.interval), 0.05))
+    return 0
+
+
+def _trace_metric_name(ev) -> str:
+    # the fold counts events without a type under "?"
+    return ("unknown" if ev == "?" else str(ev)).replace(".", "_").replace("-", "_")
 
 
 def _fold_event_metrics(reg: MetricsRegistry, ev: dict) -> None:
-    """Mirror one trace event into scrapeable counters/histograms."""
-    name = str(ev.get("ev", "unknown")).replace(".", "_").replace("-", "_")
-    reg.counter(f"trace_{name}_total", "trace events observed by type").inc()
+    """Mirror one timed trace event into a per-type wall-time histogram."""
     wall = ev.get("wall_ms")
     if isinstance(wall, (int, float)):
+        name = _trace_metric_name(ev.get("ev", "?"))
         reg.histogram(
             f"trace_{name}_seconds", "wall time of traced spans by type"
         ).observe(float(wall) / 1e3)
 
 
 def _fold_progress_metrics(reg: MetricsRegistry, prog: CampaignProgress) -> None:
+    totals: dict[str, float] = {}
+    for ev, n in prog.by_type.items():
+        name = _trace_metric_name(ev)
+        totals[name] = totals.get(name, 0.0) + n
+    for name, n in totals.items():
+        reg.counter(f"trace_{name}_total", "trace events observed by type").value = n
     snap = prog.snapshot()
     reg.gauge("campaign_runs_total", "runs the campaign will produce").set(
         snap["total_runs"]
@@ -773,25 +783,18 @@ def cmd_serve_metrics(args) -> int:
     """Standalone sidecar exporter following a live campaign trace."""
     from repro.telemetry.exporter import MetricsExporter
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.stream import CampaignProgress, TraceTail
+    from repro.telemetry.stream import CampaignProgress
 
     reg = MetricsRegistry(enabled=True)
     prog = CampaignProgress()
-    tail = TraceTail(args.trace) if args.trace else None
     exporter = MetricsExporter(reg, progress=prog, host=args.host, port=args.port)
     print(f"serving /metrics /healthz /runs on {exporter.url}", flush=True)
-    max_seconds = getattr(args, "max_seconds", None)
-    deadline = time.monotonic() + max_seconds if max_seconds else None
     try:
-        while True:
-            if tail is not None:
-                for ev in tail.poll():
-                    prog.feed(ev)
-                    _fold_event_metrics(reg, ev)
+        for fresh in _follow(args, args.trace, prog):
+            for ev in fresh:
+                _fold_event_metrics(reg, ev)
             _fold_progress_metrics(reg, prog)
-            if deadline is not None and time.monotonic() >= deadline:
-                return 0
-            time.sleep(max(float(args.interval), 0.05))
+        return 0
     except KeyboardInterrupt:
         return 0
     finally:
@@ -859,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
             "or 1; results are identical for any value)",
         )
 
-    def campaign_flags(sp):
+    def resumable_flags(sp):
         sp.add_argument(
             "--faults",
             default=None,
@@ -877,6 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="skip runs already completed in --checkpoint",
         )
+
+    def campaign_flags(sp):
+        resumable_flags(sp)
         sp.add_argument(
             "--deadline",
             type=float,
@@ -1008,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes when sweeping multiple --modes "
         "(default: $REPRO_JOBS or 1); --jobs is the ensemble's job count",
     )
-    campaign_flags(sp)
+    resumable_flags(sp)
     sp.set_defaults(func=cmd_ensemble)
 
     sp = sub.add_parser("report", help="summarize a recorded JSONL trace")

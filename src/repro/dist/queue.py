@@ -12,10 +12,11 @@ primitives that are atomic even on shared filesystems:
 
 Layout under the queue root::
 
-    manifest.json        what the campaign is (atomic write by the
-                         coordinator; workers wait for it to appear)
-    tasks/<tid>.json     one record per pending run (content-addressed:
-                         the id hashes the config fingerprint + RNG key)
+    manifest.json        what the campaign is, with one record per
+                         pending run (content-addressed: the id hashes
+                         the config fingerprint + RNG key); written
+                         atomically by the coordinator, workers wait for
+                         it to appear
     leases/<tid>.lease   a live claim: owner, token, attempt, expires_at
     attempts/<tid>.json  monotone claim counter (drives the retry budget)
     results/<tid>.json   a committed result — complete or absent, never
@@ -223,7 +224,6 @@ class WorkQueue:
         self.ttl = float(ttl)
         self.retry_budget = int(retry_budget)
         self._now = now
-        self.tasks_dir = self.root / "tasks"
         self.leases_dir = self.root / "leases"
         self.attempts_dir = self.root / "attempts"
         self.results_dir = self.root / "results"
@@ -265,17 +265,17 @@ class WorkQueue:
     # coordinator side: create / inspect
     # ------------------------------------------------------------------
     def create(self, manifest: dict, tasks: list[QueueTask]) -> None:
-        """Materialize the queue: directories, task records, manifest.
+        """Materialize the queue: directories, then the manifest.
 
-        The manifest is written **last** (atomically), so a worker that
-        sees it can trust every task record is already in place.
-        Re-creating an existing queue is idempotent for identical task
-        sets — surviving results keep their first-commit-wins status.
+        The manifest carries the task list and is written **last**
+        (atomically), so a worker that sees it can trust every directory
+        is already in place.  Re-creating an existing queue is idempotent
+        for identical task sets — surviving results keep their
+        first-commit-wins status.
         """
         try:
             for d in (
                 self.root,
-                self.tasks_dir,
                 self.leases_dir,
                 self.attempts_dir,
                 self.results_dir,
@@ -286,10 +286,6 @@ class WorkQueue:
                 d.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise QueueUnavailable("create", exc) from exc
-        for t in tasks:
-            self._write_json_atomic(
-                self.tasks_dir / f"{t.tid}.json", t.to_dict(), op="write task"
-            )
         payload = {
             "kind": _KIND,
             "version": _VERSION,

@@ -11,8 +11,10 @@ for *our own* engines:
   per-sample timing, packet-sim step stats);
 * :class:`Telemetry` — the bundle the engines accept (explicitly, or via
   the ambient :func:`current_telemetry` installed by the CLI);
-* :func:`summarize_trace` / :func:`format_summary` — the post-hoc digest
-  behind ``repro-study report``.
+* :class:`CampaignProgress` — the one fold of the event stream: live
+  progress for ``top``, ``/runs`` and the service, and the whole-trace
+  digest that :func:`summarize_trace` / :func:`format_summary` render
+  for ``repro-study report``.
 
 The default is :data:`NULL_TELEMETRY`: a disabled sink whose cost is one
 boolean check per instrumented span, so un-instrumented runs behave
@@ -27,8 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".metrics": "DEFAULT_BUCKETS Counter Gauge Histogram MetricsRegistry",
     ".exporter": "OPENMETRICS_CONTENT_TYPE MetricsExporter",
     ".series": "CadenceRecorder CounterSeries QuantileSketch SeriesConfig SeriesWindow",
-    ".report": "ConvergenceSummary DistSummary TraceSummary format_summary order_events "
-    "summarize_trace",
+    ".report": "format_summary order_events summarize_trace",
     ".stream": "BusTraceWriter CampaignProgress EventBus TraceTail",
     ".trace": "NULL_TRACE JsonlTraceWriter LoggingTraceWriter MemoryTraceWriter "
     "MultiTraceWriter NullTraceWriter RingTraceWriter TraceScan TraceWriter read_trace "

@@ -4,70 +4,19 @@ Answers the questions an operator asks of a run after the fact: where
 did the time go (slowest instrumented spans), did the fluid solver
 converge everywhere (non-converged solves, residual distribution,
 iterations-to-tolerance histogram), and what did the run actually do
-(event counts, campaign samples per mode).
+(event counts, campaign samples per mode).  The events are folded by
+the same :class:`~repro.telemetry.stream.CampaignProgress` that drives
+``top`` and ``/runs``; this module only orders and renders.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter as TallyCounter
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.telemetry.stream import CampaignProgress
 from repro.telemetry.trace import read_trace
-
-
-@dataclass
-class ConvergenceSummary:
-    """Fluid-solver convergence digest of one trace."""
-
-    n_solves: int = 0
-    n_converged: int = 0
-    residuals: list[float] = field(default_factory=list)
-    #: iteration at which |dx| first dropped below tol; None = never
-    iters_to_tol: list[int | None] = field(default_factory=list)
-    worst: list[dict] = field(default_factory=list)  # non-converged events
-
-    @property
-    def n_nonconverged(self) -> int:
-        return self.n_solves - self.n_converged
-
-
-@dataclass
-class DistSummary:
-    """Distributed-queue digest of one trace (``--queue`` campaigns)."""
-
-    workers: list[str] = field(default_factory=list)
-    retries_by_run: dict[int, int] = field(default_factory=dict)
-    steals_by_run: dict[int, int] = field(default_factory=dict)
-    exhausted: int = 0
-    outages: int = 0
-    fallback: bool = False
-
-    @property
-    def active(self) -> bool:
-        return bool(
-            self.workers
-            or self.retries_by_run
-            or self.steals_by_run
-            or self.exhausted
-            or self.outages
-            or self.fallback
-        )
-
-
-@dataclass
-class TraceSummary:
-    """Everything :func:`format_summary` needs, precomputed."""
-
-    source: str
-    n_events: int
-    by_type: dict[str, int]
-    convergence: ConvergenceSummary
-    slowest: list[dict]  # events carrying wall_ms, slowest first
-    sample_runtimes: dict[str, list[float]]  # campaign runtimes by mode
-    dist: DistSummary = field(default_factory=DistSummary)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -143,82 +92,18 @@ def order_events(events: list[dict]) -> list[dict]:
 
 def summarize_trace(
     source: str | Path | list[dict], *, top: int = 10
-) -> TraceSummary:
-    """Digest a trace file (or already-parsed event list).
+) -> CampaignProgress:
+    """Fold a trace file (or already-parsed event list) for :func:`format_summary`.
 
     The events are put in canonical order first (see
     :func:`order_events`), so a trace written by a multi-worker campaign
-    summarizes identically to its serial twin.
+    summarizes identically to its serial twin.  ``top`` bounds the
+    slowest-span and worst-solve lists.
     """
-    if isinstance(source, (str, Path)):
-        events = read_trace(source)
-        label = str(source)
-    else:
-        events = source
-        label = "<memory>"
-    events = order_events(events)
-
-    by_type = TallyCounter(e.get("ev", "?") for e in events)
-
-    conv = ConvergenceSummary()
-    dist = DistSummary()
-    sample_runtimes: dict[str, list[float]] = {}
-    timed: list[dict] = []
-
-    def _run_of(e: dict) -> int:
-        try:
-            return int(e.get("run_index", -1))
-        except (TypeError, ValueError):
-            return -1
-
-    for e in events:
-        if "wall_ms" in e:
-            timed.append(e)
-        ev = e.get("ev")
-        if ev == "dist.worker":
-            owner = str(e.get("owner", "?"))
-            if owner not in dist.workers:
-                dist.workers.append(owner)
-        elif ev == "dist.lease_reclaimed":
-            r = _run_of(e)
-            dist.retries_by_run[r] = dist.retries_by_run.get(r, 0) + 1
-        elif ev == "dist.task_stolen":
-            r = _run_of(e)
-            dist.steals_by_run[r] = dist.steals_by_run.get(r, 0) + 1
-        elif ev == "dist.task_exhausted":
-            dist.exhausted += 1
-        elif ev == "dist.queue_unavailable":
-            dist.outages += 1
-        elif ev == "dist.fallback":
-            dist.fallback = True
-        if ev == "fluid.solve":
-            conv.n_solves += 1
-            if e.get("converged", True):
-                conv.n_converged += 1
-            else:
-                conv.worst.append(e)
-            # the mean |dx| is the convergence criterion; older traces
-            # only carry the max, so fall back to it
-            r = e.get("residual_mean", e.get("residual"))
-            if r is not None:
-                conv.residuals.append(float(r))
-            conv.iters_to_tol.append(e.get("iters_to_tol"))
-        elif ev == "campaign.sample":
-            mode = str(e.get("mode", "?"))
-            sample_runtimes.setdefault(mode, []).append(float(e.get("runtime_s", 0.0)))
-    conv.worst.sort(key=lambda e: -float(e.get("residual", 0.0)))
-    conv.worst = conv.worst[:top]
-    timed.sort(key=lambda e: -float(e["wall_ms"]))
-
-    return TraceSummary(
-        source=label,
-        n_events=len(events),
-        by_type=dict(by_type.most_common()),
-        convergence=conv,
-        slowest=timed[:top],
-        sample_runtimes=sample_runtimes,
-        dist=dist,
-    )
+    events = read_trace(source) if isinstance(source, (str, Path)) else source
+    fold = CampaignProgress(top=top, keep_values=True)
+    fold.feed_many(order_events(events))
+    return fold
 
 
 def _bar(count: int, peak: int, width: int = 32) -> str:
@@ -229,88 +114,80 @@ def _bar(count: int, peak: int, width: int = 32) -> str:
 
 def _event_label(e: dict) -> str:
     """Compact context string for a timed event."""
-    skip = {"ev", "ts", "seq", "wall_ms"}
     keys = ("app", "mode", "sample", "phase", "interval", "flows", "converged", "residual")
     parts = []
     for k in keys:
-        if k in e and k not in skip:
+        if k in e:
             v = e[k]
             parts.append(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}")
     return " ".join(parts)
 
 
-def format_summary(s: TraceSummary) -> str:
-    """Render a summary as the CLI's plain-text report."""
-    lines: list[str] = [f"trace: {s.source}  ({s.n_events} events)"]
-    for ev, n in s.by_type.items():
+def format_summary(fold: CampaignProgress, source: str = "<memory>") -> str:
+    """Render a folded trace as the CLI's plain-text report."""
+    lines: list[str] = [f"trace: {source}  ({fold.n_events} events)"]
+    for ev, n in fold.by_type.most_common():
         lines.append(f"  {ev:<20s} {n:6d}")
 
-    c = s.convergence
-    if c.n_solves:
+    if fold.n_solves:
+        n, ok, residuals = fold.n_solves, fold.n_solves_converged, fold.solve_residuals
         lines.append("")
-        lines.append(f"fluid solver: {c.n_solves} solves")
-        pct = 100.0 * c.n_converged / c.n_solves
+        lines.append(f"fluid solver: {n} solves")
         lines.append(
-            f"  converged {c.n_converged}/{c.n_solves} ({pct:.1f}%)"
+            f"  converged {ok}/{n} ({100.0 * ok / n:.1f}%)"
             + (
-                f"   residual p50 {_percentile(c.residuals, 50):.2e}"
-                f"  p95 {_percentile(c.residuals, 95):.2e}"
-                f"  max {max(c.residuals):.2e}"
-                if c.residuals
+                f"   residual p50 {_percentile(residuals, 50):.2e}"
+                f"  p95 {_percentile(residuals, 95):.2e}"
+                f"  max {max(residuals):.2e}"
+                if residuals
                 else ""
             )
         )
-        hist = TallyCounter(
-            it if it is not None else -1 for it in c.iters_to_tol
-        )
-        if hist:
-            lines.append("  iterations to tolerance:")
-            peak = max(hist.values())
-            for it in sorted(hist, key=lambda v: (v < 0, v)):
-                label = f"{it:>4d}" if it >= 0 else " cap"
-                n = hist[it]
-                lines.append(f"    {label} | {_bar(n, peak)} {n}")
-        for e in c.worst:
+        hist = fold.solve_iters_to_tol
+        lines.append("  iterations to tolerance:")
+        peak = max(hist.values())
+        for it in sorted(hist, key=lambda v: (v < 0, v)):
+            label = f"{it:>4d}" if it >= 0 else " cap"
+            lines.append(f"    {label} | {_bar(hist[it], peak)} {hist[it]}")
+        for e in fold.worst_solves:
             lines.append(
                 f"  NON-CONVERGED: residual {e.get('residual', float('nan')):.2e}"
                 f"  flows {e.get('flows', '?')}  iterations {e.get('iterations', '?')}"
             )
 
-    if s.slowest:
+    if fold.slowest:
         lines.append("")
         lines.append("slowest instrumented spans:")
-        for e in s.slowest:
+        for e in fold.slowest:
             lines.append(
                 f"  {float(e['wall_ms']):9.2f} ms  {e['ev']:<18s} {_event_label(e)}"
             )
 
-    d = s.dist
-    if d.active:
+    if fold.dist_active:
+        retries, steals = fold.retries_by_run, fold.steals_by_run
         lines.append("")
         lines.append(
-            f"distributed queue: {len(d.workers)} worker(s)  "
-            f"retries {sum(d.retries_by_run.values())}  "
-            f"steals {sum(d.steals_by_run.values())}"
-            + (f"  exhausted {d.exhausted}" if d.exhausted else "")
-            + (f"  outages {d.outages}" if d.outages else "")
-            + ("  LOCAL FALLBACK" if d.fallback else "")
+            f"distributed queue: {len(fold.dist_workers)} worker(s)  "
+            f"retries {fold.dist_retries}  steals {fold.dist_steals}"
+            + (f"  exhausted {fold.dist_exhausted}" if fold.dist_exhausted else "")
+            + (f"  outages {fold.dist_outages}" if fold.dist_outages else "")
+            + ("  LOCAL FALLBACK" if fold.dist_fallback else "")
         )
-        for owner in d.workers:
+        for owner in fold.dist_workers:
             lines.append(f"  worker {owner}")
-        touched = sorted(set(d.retries_by_run) | set(d.steals_by_run))
-        for r in touched:
+        for r in sorted(set(retries) | set(steals)):
             label = f"run {r}" if r >= 0 else "run ?"
             parts = []
-            if d.retries_by_run.get(r):
-                parts.append(f"retried x{d.retries_by_run[r]}")
-            if d.steals_by_run.get(r):
-                parts.append(f"stolen x{d.steals_by_run[r]}")
+            if retries.get(r):
+                parts.append(f"retried x{retries[r]}")
+            if steals.get(r):
+                parts.append(f"stolen x{steals[r]}")
             lines.append(f"  {label}: " + ", ".join(parts))
 
-    if s.sample_runtimes:
+    if fold.sample_runtimes:
         lines.append("")
         lines.append("campaign samples:")
-        for mode, runs in sorted(s.sample_runtimes.items()):
+        for mode, runs in sorted(fold.sample_runtimes.items()):
             mean = sum(runs) / len(runs)
             lines.append(
                 f"  {mode:<6s} n={len(runs):<3d} mean {mean:10.1f} s"

@@ -1,8 +1,8 @@
-"""Live event streaming: in-process pub/sub and trace tail-following.
+"""Live event streaming: in-process pub/sub, tail-following, and the fold.
 
 Three pieces make the observability surfaces (``repro-study top``, the
-``/metrics`` exporter, ``report --follow``) work on a *running*
-campaign instead of a finished trace file:
+``/metrics`` exporter, ``report`` and ``report --follow``) work on a
+*running* campaign as well as a finished trace file:
 
 * :class:`EventBus` + :class:`BusTraceWriter` — an in-process pub/sub
   fanout.  The CLI splices a ``BusTraceWriter`` into the telemetry
@@ -14,23 +14,30 @@ campaign instead of a finished trace file:
   trace file another process is appending to.  It buffers torn trailing
   lines (a live writer tears at most one), survives truncation/rotation
   by reopening, and returns only complete, parsed events.
-* :class:`CampaignProgress` — folds campaign/guard events (bus- or
-  tail-delivered) into a progress snapshot: done/failed/total runs, an
+* :class:`CampaignProgress` — the one interpreter of the trace
+  vocabulary.  It folds events (bus-, tail- or file-delivered) into a
+  progress snapshot of the latest campaign (done/failed/total runs, an
   ETA from the observed completion rate, per-worker last-seen liveness,
-  guard violations, and the recent stall-to-flit health ratios the
-  ``top`` sparkline renders.
+  queue state, guard violations, the stall-to-flit ratios the ``top``
+  sparkline renders) and into the whole-stream digest ``report``
+  renders (event counts, solver convergence, slowest spans, sample
+  runtimes, queue retries and steals by run).
 
 Ordering: worker-tagged events arrive in commit order (the parallel
 executor forwards them with ``run_index`` tags, see ``order_events``);
 ``CampaignProgress`` is insensitive to arrival order for counts and
-uses max-merge for timestamps, so live and post-hoc folds agree.
+uses max-merge for timestamps, so live and post-hoc folds agree on
+them.  Ranked lists (slowest spans, worst solves) break ties by arrival,
+which is why ``summarize_trace`` orders the events before folding.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import threading
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -145,19 +152,59 @@ class TraceTail:
         return events
 
 
-class CampaignProgress:
-    """Folds telemetry events into a live campaign progress snapshot.
+def _num(value) -> float | None:
+    """``float(value)``, or None for a value a damaged trace made unreadable."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
 
-    Feed it events from an :class:`EventBus` subscription or a
-    :class:`TraceTail` poll loop; read :meth:`snapshot` at any time.
+
+def _run_of(event: dict) -> int:
+    try:
+        return int(event.get("run_index", -1))
+    except (TypeError, ValueError, OverflowError):
+        return -1
+
+
+def _keep_top(
+    kept: list[tuple[float, int, dict]], key: float, seq: int, event: dict, n: int
+) -> None:
+    """Keep ``event`` in ``kept`` while its ``key`` is among the ``n`` largest,
+    ties in arrival (``seq``) order: the head of a stable sort of every event
+    seen.  Entries are ``(-key, seq, event)``; ``seq`` is unique, so events
+    are never compared."""
+    if len(kept) >= n and (n == 0 or -key >= kept[-1][0]):
+        return
+    bisect.insort(kept, (-key, seq, event))
+    del kept[n:]
+
+
+class CampaignProgress:
+    """Folds telemetry events into campaign progress and a trace digest.
+
+    The one interpreter of the trace vocabulary.  Feed it events from an
+    :class:`EventBus` subscription, a :class:`TraceTail` poll loop, or a
+    whole recorded trace (``summarize_trace``); read :meth:`snapshot`
+    (``top``, ``/runs``, the service) or the digest fields
+    (``format_summary``, ``report``) at any time.  The progress fields
+    describe the latest campaign and reset at each ``campaign.start``;
+    the digest fields (event counts, solver convergence, slowest spans,
+    sample runtimes, queue retries and steals) cover the whole stream.
     Thread-safe: the exporter reads while the campaign thread feeds.
     """
 
     #: stall-ratio history length kept for the health sparkline
     HEALTH_WINDOW = 60
 
-    def __init__(self) -> None:
+    def __init__(self, *, top: int = 10, keep_values: bool = False) -> None:
         self._lock = threading.Lock()
+        #: how many slowest spans and worst solves the digest keeps
+        self.top = max(int(top), 0)
+        #: keep every solve residual and sample runtime (``report``'s
+        #: percentiles and means); off, the fold's memory stays bounded
+        #: however long the stream it follows
+        self.keep_values = keep_values
         self.app = ""
         self.n_nodes = 0
         self.modes: list[str] = []
@@ -182,8 +229,9 @@ class CampaignProgress:
         #: owner ("host:pid") -> {"worker": id, "ts": last seen,
         #: "state": "live" | "lost lease" | "stolen", "done": merged runs}
         self.dist_workers: dict[str, dict] = {}
-        self.dist_retries = 0
-        self.dist_steals = 0
+        #: run index -> expired-lease reclaims / speculative steals
+        self.retries_by_run: dict[int, int] = {}
+        self.steals_by_run: dict[int, int] = {}
         self.dist_exhausted = 0
         self.dist_outages = 0
         self.dist_fallback = False
@@ -191,15 +239,35 @@ class CampaignProgress:
         self.queue_leases = 0
         #: recent per-run stall-to-flit ratios (health sparkline feed)
         self.health: list[float] = []
-        #: recent per-run wall-clock costs (drives the ETA)
-        self._run_walls: list[float] = []
+        #: event type -> count, in first-seen order
+        self.by_type: Counter = Counter()
+        self.n_events = 0
+        self.n_solves = 0
+        self.n_solves_converged = 0
+        #: mean |dx| of every fluid solve (the convergence criterion);
+        #: kept only with ``keep_values``
+        self.solve_residuals: list[float] = []
+        #: iteration at which |dx| first dropped below tol -> solves;
+        #: -1 = never
+        self.solve_iters_to_tol: Counter = Counter()
+        #: campaign mode -> model runtime of each sample; kept only with
+        #: ``keep_values``
+        self.sample_runtimes: dict[str, list[float]] = {}
+        self._worst: list[tuple[float, int, dict]] = []
+        self._slowest: list[tuple[float, int, dict]] = []
 
     # ------------------------------------------------------------------
     def feed(self, event: dict) -> None:
-        """Fold one telemetry event into the progress state."""
+        """Fold one telemetry event into the progress state and the digest."""
         ev = event.get("ev")
         ts = event.get("ts")
         with self._lock:
+            self.by_type[str(event.get("ev", "?"))] += 1
+            self.n_events += 1
+            if "wall_ms" in event:
+                wall = _num(event["wall_ms"])
+                if wall is not None:
+                    _keep_top(self._slowest, wall, self.n_events, event, self.top)
             if isinstance(ts, (int, float)):
                 self.last_event_ts = max(self.last_event_ts or 0.0, float(ts))
                 wid = event.get("worker")
@@ -215,6 +283,8 @@ class CampaignProgress:
                 self.resumed = int(event.get("resumed_runs", 0) or 0)
                 self.jobs = int(event.get("jobs", 1) or 1)
                 self.done = self.resumed
+                self.failed = self.nonconverged = self.attempts = 0
+                self.ended_at = None
                 q = event.get("queue")
                 self.queue = str(q) if q else None
                 if isinstance(ts, (int, float)):
@@ -230,10 +300,10 @@ class CampaignProgress:
                     self.failed += 1
                 if event.get("solver_converged") is False:
                     self.nonconverged += 1
-                wall = event.get("wall_ms")
-                if isinstance(wall, (int, float)):
-                    self._run_walls.append(float(wall) / 1e3)
-                    del self._run_walls[: -self.HEALTH_WINDOW]
+                runtime = _num(event.get("runtime_s", 0.0)) if self.keep_values else None
+                if runtime is not None:
+                    mode = str(event.get("mode", "?"))
+                    self.sample_runtimes.setdefault(mode, []).append(runtime)
                 wid = event.get("worker")
                 if isinstance(wid, int) and self.dist_workers:
                     for d in self.dist_workers.values():
@@ -256,16 +326,16 @@ class CampaignProgress:
                         "done": 0,
                     },
                 )
-            elif ev == "dist.lease_reclaimed":
-                self.dist_retries += 1
+            elif ev in ("dist.lease_reclaimed", "dist.task_stolen"):
+                reclaimed = ev == "dist.lease_reclaimed"
+                by_run = self.retries_by_run if reclaimed else self.steals_by_run
+                run = _run_of(event)
+                by_run[run] = by_run.get(run, 0) + 1
                 victim = str(event.get("victim", "") or "")
                 if victim in self.dist_workers:
-                    self.dist_workers[victim]["state"] = "lost lease"
-            elif ev == "dist.task_stolen":
-                self.dist_steals += 1
-                victim = str(event.get("victim", "") or "")
-                if victim in self.dist_workers:
-                    self.dist_workers[victim]["state"] = "stolen"
+                    self.dist_workers[victim]["state"] = (
+                        "lost lease" if reclaimed else "stolen"
+                    )
             elif ev == "dist.task_exhausted":
                 self.dist_exhausted += 1
             elif ev == "dist.queue_unavailable":
@@ -281,7 +351,9 @@ class CampaignProgress:
                 self.worker_hung.append(dict(event))
             elif ev == "guard.worker_lost":
                 self.worker_lost.append(dict(event))
-            elif ev in ("packet.run", "fluid.solve", "facility.interval"):
+            if ev == "fluid.solve":
+                self._fold_solve(event)
+            if ev in ("packet.run", "fluid.solve", "facility.interval"):
                 ratio = event.get("stall_ratio")
                 if ratio is None:
                     ratio = event.get("residual_mean")
@@ -289,14 +361,57 @@ class CampaignProgress:
                     self.health.append(float(ratio))
                     del self.health[: -self.HEALTH_WINDOW]
 
-    def feed_many(self, events) -> int:
-        n = 0
+    def _fold_solve(self, event: dict) -> None:
+        self.n_solves += 1
+        if event.get("converged", True):
+            self.n_solves_converged += 1
+        else:
+            residual = _num(event.get("residual", 0.0)) or 0.0
+            _keep_top(self._worst, residual, self.n_events, event, self.top)
+        if self.keep_values:
+            # the mean |dx| is the convergence criterion; older traces
+            # only carry the max, so fall back to it
+            r = _num(event.get("residual_mean", event.get("residual")))
+            if r is not None:
+                self.solve_residuals.append(r)
+        it = event.get("iters_to_tol")
+        self.solve_iters_to_tol[it if isinstance(it, int) else -1] += 1
+
+    def feed_many(self, events) -> None:
         for ev in events:
             self.feed(ev)
-            n += 1
-        return n
 
     # ------------------------------------------------------------------
+    @property
+    def dist_retries(self) -> int:
+        return sum(self.retries_by_run.values())
+
+    @property
+    def dist_steals(self) -> int:
+        return sum(self.steals_by_run.values())
+
+    @property
+    def dist_active(self) -> bool:
+        """Whether the stream came from a ``--queue`` campaign."""
+        return bool(
+            self.dist_workers
+            or self.retries_by_run
+            or self.steals_by_run
+            or self.dist_exhausted
+            or self.dist_outages
+            or self.dist_fallback
+        )
+
+    @property
+    def slowest(self) -> list[dict]:
+        """The ``top`` timed events, slowest first."""
+        return [e for _, _, e in self._slowest]
+
+    @property
+    def worst_solves(self) -> list[dict]:
+        """The ``top`` non-converged fluid solves, largest residual first."""
+        return [e for _, _, e in self._worst]
+
     @property
     def total(self) -> int:
         return self.samples * max(len(self.modes), 1)

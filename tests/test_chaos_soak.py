@@ -83,6 +83,23 @@ def test_queue_soak_holds_queue_invariants(top, tmp_path):
     assert "queue results complete and owned" in names
 
 
+def test_queue_soak_owns_results_committed_before_a_crash(top, tmp_path):
+    """A crash after the local fallback committed results: the resumed
+    epoch's manifest lists only its misses, yet every result committed
+    by the earlier epoch still names a task of the campaign."""
+    report = run_soak(
+        top,
+        _cfg(),
+        spec="checkpoint.append:crash:at=3",
+        seed=2021,
+        workdir=tmp_path,
+        queue=True,
+    )
+    assert report.ok, report.format()
+    assert report.crashes >= 1
+    owned = [held for name, held, _ in report.invariants if name.startswith("queue")]
+    assert owned == [True]
+
 def test_total_store_outage_degrades_without_failing_the_campaign(top, tmp_path):
     """Every cache put fails (ENOSPC on each commit) — the campaign must
     still complete in one attempt: put loss degrades, never aborts."""

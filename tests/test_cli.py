@@ -29,6 +29,29 @@ class TestParser:
         )
         assert args.jobs == 4 and args.mode == "AD0"
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--queue", "Q"],
+            ["--cache", "C"],
+            ["--deadline", "1e-6"],
+            ["--step-budget", "5"],
+            ["--guard", "strict"],
+            ["--hang-timeout", "1"],
+            ["--bundle-dir", "B"],
+        ],
+    )
+    def test_ensemble_rejects_campaign_only_flags(self, tmp_path, monkeypatch, capsys, flag):
+        # ensemble takes --faults/--checkpoint/--resume only; the others
+        # would be silently ignored, so argparse refuses them
+        monkeypatch.chdir(tmp_path)
+        argv = ["ensemble", "--system", "toy", "--jobs", "2", "--nodes", "4", *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCommands:
     def test_describe_runs(self, capsys):

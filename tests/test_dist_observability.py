@@ -117,13 +117,13 @@ class TestTopRendering:
 class TestReportDigest:
     def test_dist_section_summarizes_retries_and_steals(self):
         s = summarize_trace(_dist_events())
-        assert s.dist.active
-        assert s.dist.workers == ["hostA:10", "hostB:20"]
-        assert s.dist.retries_by_run == {1: 1}
-        assert s.dist.steals_by_run == {2: 1}
-        assert s.dist.exhausted == 1
-        assert s.dist.outages == 1
-        assert s.dist.fallback is True
+        assert s.dist_active
+        assert list(s.dist_workers) == ["hostA:10", "hostB:20"]
+        assert s.retries_by_run == {1: 1}
+        assert s.steals_by_run == {2: 1}
+        assert s.dist_exhausted == 1
+        assert s.dist_outages == 1
+        assert s.dist_fallback is True
         text = format_summary(s)
         assert "distributed queue: 2 worker(s)" in text
         assert "retries 1" in text and "steals 1" in text
@@ -136,7 +136,7 @@ class TestReportDigest:
             {"ev": "campaign.sample", "ts": 1.0, "mode": "AD0", "sample": 0,
              "runtime_s": 1.0},
         ])
-        assert not s.dist.active
+        assert not s.dist_active
         assert "distributed queue" not in format_summary(s)
 
     def test_report_cli_renders_dist_trace(self, tmp_path, capsys):

@@ -203,6 +203,25 @@ class TestReportRobustness:
         assert time.monotonic() - t0 < 10  # exited on end, not the deadline
         assert "campaign.end" in capsys.readouterr().out
 
+    def test_follow_last_frame_equals_report(self, tmp_path, capsys):
+        # --follow folds each polled event into one running fold; on a
+        # finished serial trace its last frame is plain report's summary
+        p = tmp_path / "serial.jsonl"
+        argv = [*COMPARE_ARGS[:-1], "1", "--trace", str(p)]  # -j 1: serial
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["report", str(p)]) == 0
+        plain = capsys.readouterr().out
+        rc = main(
+            ["report", str(p), "--follow", "--interval", "0.05", "--max-seconds", "30"]
+        )
+        assert rc == 0
+        frames = capsys.readouterr().out.split("-" * 64 + "\n")
+        assert frames[-1] == ""
+        last = frames[-2]
+        assert last.startswith(f"trace: {p} (following)  (")
+        assert last.replace(f"{p} (following)", str(p), 1) == plain
+
     def test_follow_respects_deadline(self, tmp_path):
         p = tmp_path / "quiet.jsonl"
         p.write_text("")
@@ -252,6 +271,32 @@ class TestTopCommand:
 
 @pytest.mark.slow
 class TestServeMetricsSidecar:
+    def test_type_counters_come_from_the_fold(self):
+        from repro.cli import _fold_event_metrics, _fold_progress_metrics
+        from repro.telemetry.metrics import MetricsRegistry
+        from repro.telemetry.stream import CampaignProgress
+
+        reg, prog = MetricsRegistry(enabled=True), CampaignProgress()
+        events = [
+            {"ev": "campaign.sample", "wall_ms": 50.0},
+            {"ev": "campaign.sample", "wall_ms": 60.0},
+            {"ev": "fluid-solve"},
+            {"seq": 3},  # no type
+        ]
+        for ev in events:
+            prog.feed(ev)
+            _fold_event_metrics(reg, ev)
+        # every poll sets the counters from the fold; none counts twice
+        _fold_progress_metrics(reg, prog)
+        _fold_progress_metrics(reg, prog)
+        text = reg.to_prometheus()
+        _scrape_openmetrics(text)
+        assert "trace_campaign_sample_total 2" in text
+        assert "trace_fluid_solve_total 1" in text
+        assert "trace_unknown_total 1" in text
+        assert "trace_campaign_sample_seconds_count 2" in text
+        assert "trace_fluid_solve_seconds" not in text
+
     def test_sidecar_follows_trace(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         events = [

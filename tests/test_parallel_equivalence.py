@@ -312,7 +312,7 @@ class TestInterleavedReaders:
         b = summarize_trace(shuffled)
         assert a.by_type == b.by_type
         assert a.sample_runtimes == b.sample_runtimes
-        assert a.convergence.n_solves == b.convergence.n_solves
+        assert a.n_solves == b.n_solves
 
     def test_report_cmd_reads_shuffled_trace_file(self, tmp_path, capsys, top):
         from repro.cli import main

@@ -227,6 +227,64 @@ class TestCampaignProgress:
         assert prog.eta_seconds(now=111.0) is None
         assert prog.snapshot()["running"] is False
 
+    def test_campaign_start_resets_per_campaign_fields(self):
+        # two 2-run campaigns in one trace (calibrate traces one per
+        # probe), every run failing after 2 attempts
+        def campaign(t0):
+            return [
+                {"ev": "campaign.start", "ts": t0, "app": "MILC", "n_nodes": 8,
+                 "modes": ["AD0", "AD3"], "samples": 1},
+                *({"ev": "campaign.sample", "ts": t0 + 1 + i, "mode": m,
+                   "status": "error", "attempts": 2, "solver_converged": False,
+                   "runtime_s": 1.0, "wall_ms": 5.0}
+                  for i, m in enumerate(("AD0", "AD3"))),
+                {"ev": "campaign.end", "ts": t0 + 3},
+            ]
+
+        prog = CampaignProgress(keep_values=True)
+        prog.feed_many(campaign(10.0))
+        prog.feed(campaign(20.0)[0])
+        snap = prog.snapshot()
+        assert snap["running"] is True and snap["ended_at"] is None
+        assert snap["started_at"] == 20.0
+        assert (snap["done_runs"], snap["failed_runs"], snap["attempts"]) == (0, 0, 0)
+        prog.feed_many(campaign(20.0)[1:])
+        snap = prog.snapshot()
+        assert snap["done_runs"] == 2
+        assert snap["failed_runs"] == 2
+        assert snap["nonconverged_runs"] == 2
+        assert snap["attempts"] == 4
+        assert snap["ended_at"] == 23.0
+        assert "ok 0  failed 2" in render_top(snap, now=30.0)
+        # the report digest covers the whole stream
+        assert prog.by_type["campaign.start"] == 2
+        assert {m: len(r) for m, r in prog.sample_runtimes.items()} == {"AD0": 2, "AD3": 2}
+        assert len(prog.slowest) == 4
+
+    def test_live_fold_memory_is_bounded(self):
+        # a long-lived fold (top, serve-metrics, the service) keeps only
+        # counts and the top-N lists; report's fold keeps every value
+        events = [
+            {"ev": "fluid.solve", "wall_ms": float(i % 7), "converged": i % 3 > 0,
+             "residual": float(i % 5), "residual_mean": 1e-3, "iters_to_tol": 4}
+            for i in range(500)
+        ] + [
+            {"ev": "campaign.sample", "mode": "AD0", "runtime_s": 1.0, "status": "ok"}
+            for _ in range(500)
+        ]
+        live, full = CampaignProgress(), CampaignProgress(keep_values=True)
+        live.feed_many(events)
+        full.feed_many(events)
+        assert live.solve_residuals == [] and live.sample_runtimes == {}
+        assert len(full.solve_residuals) == 500
+        assert len(full.sample_runtimes["AD0"]) == 500
+        for fold in (live, full):
+            assert fold.n_solves == 500 and fold.n_events == 1000
+            assert len(fold.slowest) == len(fold.worst_solves) == 10
+        # ties keep arrival order: the first 10 events with the top key
+        assert [e["wall_ms"] for e in live.slowest] == [6.0] * 10
+        assert live.slowest == [e for e in events if e.get("wall_ms") == 6.0][:10]
+
     def test_order_insensitive_counts(self):
         evs = _campaign_events()
         a, b = CampaignProgress(), CampaignProgress()

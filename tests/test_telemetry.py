@@ -355,8 +355,8 @@ class TestReport:
         ]
         s = summarize_trace(events)
         assert s.n_events == 3
-        assert s.convergence.n_solves == 2
-        assert s.convergence.n_nonconverged == 1
+        assert s.n_solves == 2
+        assert s.n_solves - s.n_solves_converged == 1
         assert s.slowest[0]["wall_ms"] == 60.0
         text = format_summary(s)
         assert "NON-CONVERGED" in text
