@@ -547,8 +547,9 @@ class CampaignBackground:
     draw (or :meth:`build` is called), so a campaign whose runs are all
     resumed or served from a store builds no pool.  The pool comes from
     its own derived RNG stream, so when it is built cannot change what it
-    holds.  Explicit ``background_model`` / ``scenarios`` are used as
-    given.
+    holds.  It solves only the :func:`drawn_slots`, to their link field;
+    the other slots build no path table.  Explicit ``background_model`` /
+    ``scenarios`` are used as given.
 
     Also the campaign's one per-sample draw cache: the modes of a sample
     share its placement and background, so each process keeps the last

@@ -68,6 +68,7 @@ def _aggressor_field(
         rng=rng,
         params=FluidParams(k_min=3, k_nonmin=2, n_iter=5),
         fixed_duration=1.0,
+        link_field_only=True,
     )
     return np.clip(res.link_raw_util, 0.0, 0.9)
 

@@ -51,15 +51,18 @@ def check_fluid_iterate(guard, it: int, x: np.ndarray, load: np.ndarray) -> None
         )
 
 
-def check_fluid_result(guard, top, load, flits, stalls, flow_time) -> None:
+def check_fluid_result(guard, top, load, flits=None, stalls=None, flow_time=None) -> None:
     """Post-solve checks: finite counters, no load on zero-capacity links
-    (disconnected slots and faulted-dead links), non-negative everything."""
+    (disconnected slots and faulted-dead links), non-negative everything.
+    A link-field solve computes only ``load``; the others are ``None``."""
     for name, arr in (
         ("load", load),
         ("flits", flits),
         ("stalls", stalls),
         ("flow_time", flow_time),
     ):
+        if arr is None:
+            continue
         if not np.isfinite(arr).all():
             guard.violation(
                 "fluid.finite_result", f"{name} contains non-finite values", field=name

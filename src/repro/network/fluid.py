@@ -28,7 +28,7 @@ sub-paths), ``1 - x`` the non-minimal set.  The solver iterates:
 
 After convergence, flits/stalls per link follow the congestion model
 (including backpressure flit inflation on overloaded links), and per-flow
-times/latencies are extracted.
+times/latencies are extracted (unless ``link_field_only``).
 
 The same solver produces steady-state *utilization fields* when given a
 ``fixed_duration``: the scheduler's background-traffic builder uses that
@@ -166,21 +166,15 @@ class FluidParams:
 
 @dataclass
 class FluidResult:
-    """Resolved state of one phase."""
+    """Resolved state of one phase (a ``link_field_only`` solve of a
+    non-empty phase leaves the per-flow and counter fields ``None``)."""
 
     flows: FlowSet
     phase_time: float
-    flow_time: np.ndarray
-    flow_latency: np.ndarray
-    flow_latency_ambient: np.ndarray
-    flow_latency_worst: np.ndarray
-    flow_hops: np.ndarray
     min_fraction: np.ndarray
     link_load: np.ndarray
     link_util: np.ndarray
     link_raw_util: np.ndarray
-    link_flits: np.ndarray
-    link_stalls: np.ndarray
     timescale: float
     #: solver diagnostics.  ``residual`` is the final max |Δx| of the
     #: split update; ``residual_mean`` the final mean |Δx| (the
@@ -190,6 +184,13 @@ class FluidResult:
     iterations: int = 0
     residual: float = 0.0
     residual_mean: float = 0.0
+    flow_time: np.ndarray | None = None
+    flow_latency: np.ndarray | None = None
+    flow_latency_ambient: np.ndarray | None = None
+    flow_latency_worst: np.ndarray | None = None
+    flow_hops: np.ndarray | None = None
+    link_flits: np.ndarray | None = None
+    link_stalls: np.ndarray | None = None
 
     def utilization_field(self) -> np.ndarray:
         """Per-link utilization (for use as another solve's background)."""
@@ -445,6 +446,113 @@ def _softmin_weights(scores: np.ndarray, aux: _BundleAux, temp: float) -> np.nda
     return e / denom[aux.flow]
 
 
+def _extract_flows(
+    top: DragonflyTopology, flows: FlowSet, params: FluidParams,
+    aux_min: _BundleAux, aux_non: _BundleAux,
+    x: np.ndarray, w_sub_min: np.ndarray, w_sub_non: np.ndarray,
+    load: np.ndarray, t_link: np.ndarray, util: np.ndarray, raw_util: np.ndarray,
+    bg: np.ndarray, w_lvl: np.ndarray, stall_idx_cat: np.ndarray, repcnt_cat: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The converged solve's per-flow times, latencies and hops, and its
+    per-link flit and stall counters."""
+    cm, lm, cap = params.congestion, params.latency, top.capacity
+    n_links, ns1 = top.n_links, aux_min.flow.size
+    hops_sub_min, hops_sub_non = aux_min.hops, aux_non.hops
+    # sentinel-extended per-link scratch reused by every gather below
+    ext = np.empty(n_links + 1)
+    ext[n_links] = 0.0
+
+    # flow completion: each side finishes when the slowest *meaningfully
+    # used* sub-path's bottleneck link drains; the flow when its slower
+    # used side does.
+    ext[:n_links] = t_link
+    t_sub_min = _masked_rowmax(ext, aux_min)
+    t_sub_non = _masked_rowmax(ext, aux_non)
+    # sub-paths the adaptive weighting has suppressed carry few of the
+    # flow's packets and do not gate its completion
+    used_min_sub = w_sub_min > 0.15
+    used_non_sub = w_sub_non > 0.15
+    t_min_flow = _group_max(t_sub_min * used_min_sub, aux_min)
+    t_non_flow = _group_max(t_sub_non * used_non_sub, aux_non)
+    used_non = x < 0.995
+    flow_time = np.where(used_non, np.maximum(t_min_flow * (x > 0.005), t_non_flow), t_min_flow)
+
+    base_lat_min = lm.base_latency(hops_sub_min)
+    base_lat_non = lm.base_latency(hops_sub_non)
+
+    # per-packet latency: base + queueing along each sub-path ...
+    def _sub_latency(qd_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ext[:n_links] = qd_link
+        return (
+            base_lat_min + _masked_rowsum(ext, aux_min),
+            base_lat_non + _masked_rowsum(ext, aux_non),
+        )
+
+    # ... weighted by the side split and the within-side weights
+    def _flow_latency(lat_sub_min: np.ndarray, lat_sub_non: np.ndarray) -> np.ndarray:
+        lat_min = _group_sum(lat_sub_min * w_sub_min, aux_min)
+        lat_non = _group_sum(lat_sub_non * w_sub_non, aux_non)
+        return x * lat_min + (1.0 - x) * lat_non
+
+    flow_latency = _flow_latency(*_sub_latency(cm.queue_delay(util, cap)))
+    # latency against ambient (background) traffic only: what a message
+    # experiences once the phase's own burst has drained around it
+    lat_sub_min, lat_sub_non = _sub_latency(cm.queue_delay(bg, cap))
+    flow_latency_ambient = _flow_latency(lat_sub_min, lat_sub_non)
+
+    # worst-packet latency: the slowest used sub-path of any used side —
+    # what a globally synchronizing collective round actually waits for
+    lat_max_min = _group_max(lat_sub_min * (w_sub_min > 0.05), aux_min)
+    lat_max_non = _group_max(lat_sub_non * (w_sub_non > 0.05), aux_non)
+    # a side only contributes its worst path when it carries a meaningful
+    # share of the flow's packets (a strongly-biased mode's few stray
+    # non-minimal packets do not gate every collective round)
+    flow_latency_worst = np.maximum(
+        lat_max_min * (x > 0.15), lat_max_non * (x < 0.85)
+    )
+    hops_min = _group_sum(hops_sub_min * w_sub_min, aux_min)
+    hops_non = _group_sum(hops_sub_non * w_sub_non, aux_non)
+    flow_hops = x * hops_min + (1.0 - x) * hops_non
+
+    # counters: stalls follow the congestion curve; saturated links
+    # additionally inflate flits (retransmission / backpressure
+    # re-injection -- the Fig. 12 effect), and that backpressure
+    # propagates upstream into the injecting NICs as processor-tile
+    # request stalls (Fig. 6 / Fig. 12's higher Proc stalls under strong
+    # minimal bias).
+    sr = cm.stall_ratio(util)
+    bp = cm.backpressure_factor(raw_util) * (1.0 + 0.6 * sr / cm.stall_cap)
+    link_flits = load / FLIT_BYTES * bp
+    link_stalls = link_flits * sr
+
+    # congestion spreading (the paper's own conclusion: "non-minimal
+    # routing can end up spreading the congestion"): a flow that crosses
+    # a saturated link exhausts credits back along its *whole* path, so
+    # every upstream link it uses — including its injection tile —
+    # accrues stalls proportional to the worst downstream congestion.
+    # Long (Valiant) paths spread that backpressure over more links.
+    # The bincount is seeded with the existing stall counts (identity
+    # scatter prefix), so each bin accumulates existing + minimal extras
+    # + non-minimal extras in the seed's exact scatter-add order.
+    coupling = cm.backpressure_inj_coupling
+    ext[:n_links] = sr
+    sr_sub_min = _masked_rowmax(ext, aux_min)
+    sr_sub_non = _masked_rowmax(ext, aux_non)
+    w_min_final = (flows.nbytes * x)[aux_min.flow] * w_sub_min
+    w_non_final = (flows.nbytes * (1.0 - x))[aux_non.flow] * w_sub_non
+    w_lvl[:ns1] = w_min_final / FLIT_BYTES * coupling * sr_sub_min
+    w_lvl[ns1:] = w_non_final / FLIT_BYTES * coupling * sr_sub_non
+    stall_w = np.empty(stall_idx_cat.size)
+    stall_w[:n_links] = link_stalls
+    stall_w[n_links:] = np.repeat(w_lvl, repcnt_cat)
+    link_stalls = np.bincount(stall_idx_cat, weights=stall_w, minlength=n_links)
+    return dict(
+        flow_time=flow_time, flow_latency=flow_latency,
+        flow_latency_ambient=flow_latency_ambient, flow_latency_worst=flow_latency_worst,
+        flow_hops=flow_hops, link_flits=link_flits, link_stalls=link_stalls,
+    )
+
+
 def sample_paths(
     top: DragonflyTopology,
     flows: FlowSet,
@@ -457,7 +565,8 @@ def sample_paths(
     when the caller asks for it, so the solver can free one path table
     before the next is built.  An empty flow set draws nothing.  A caller
     that needs only the stream's post-state (a background scenario that
-    is never read) exhausts it and drops the bundles.
+    is never read) calls :func:`repro.topology.paths.advance_paths`
+    instead, which makes the same draws and builds no table.
     """
     if flows.n:
         yield cached_minimal_paths(top, flows.src, flows.dst, k=params.k_min, rng=rng)
@@ -475,6 +584,7 @@ def solve_fluid(
     fixed_duration: float | None = None,
     min_duration: float = 0.0,
     telemetry: Telemetry | None = None,
+    link_field_only: bool = False,
 ) -> FluidResult:
     """Resolve one phase to its routing/congestion equilibrium.
 
@@ -503,6 +613,10 @@ def solve_fluid(
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; defaults to the
         ambient handle (a null sink unless the CLI installed one).
+    link_field_only:
+        Stop at the link field, for a caller that reads nothing per flow
+        (a background field): the iterations, event and metrics are the
+        same, and the per-flow and counter fields stay ``None``.
     """
     params = params or FluidParams()
     tel = resolve_telemetry(telemetry)
@@ -510,8 +624,6 @@ def solve_fluid(
     # $REPRO_GUARD); the unguarded path costs this one call per solve
     guard = active_guard()
     t_start = time.perf_counter() if tel.enabled else 0.0
-    cm = params.congestion
-    lm = params.latency
     n = flows.n
     cap = top.capacity
 
@@ -671,104 +783,20 @@ def solve_fluid(
 
     iter_wall = (time.perf_counter() - t_loop) / params.n_iter if tel.enabled else 0.0
 
-    # ---- final extraction ------------------------------------------------
+    # ---- final link field ------------------------------------------------
     t_link = load * inv_cap_eff
     if fixed_duration is None:
         T = max(float(t_link.max()), params.min_timescale, min_duration)
     raw_util = load / (cap1 * T) + bg
     util = np.clip(raw_util, 0.0, 1.0)
 
-    # sentinel-extended per-link scratch reused by every gather below
-    ext = np.empty(n_links + 1)
-    ext[n_links] = 0.0
-
-    # flow completion: each side finishes when the slowest *meaningfully
-    # used* sub-path's bottleneck link drains; the flow when its slower
-    # used side does.
-    ext[:n_links] = t_link
-    t_sub_min = _masked_rowmax(ext, aux_min)
-    t_sub_non = _masked_rowmax(ext, aux_non)
-    # sub-paths the adaptive weighting has suppressed carry few of the
-    # flow's packets and do not gate its completion
-    used_min_sub = w_sub_min > 0.15
-    used_non_sub = w_sub_non > 0.15
-    t_min_flow = _group_max(t_sub_min * used_min_sub, aux_min)
-    t_non_flow = _group_max(t_sub_non * used_non_sub, aux_non)
-    used_non = x < 0.995
-    flow_time = np.where(used_non, np.maximum(t_min_flow * (x > 0.005), t_non_flow), t_min_flow)
-
-    base_lat_min = lm.base_latency(hops_sub_min)
-    base_lat_non = lm.base_latency(hops_sub_non)
-
-    # per-packet latency: base + queueing along each sub-path ...
-    def _sub_latency(qd_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ext[:n_links] = qd_link
-        return (
-            base_lat_min + _masked_rowsum(ext, aux_min),
-            base_lat_non + _masked_rowsum(ext, aux_non),
-        )
-
-    # ... weighted by the side split and the within-side weights
-    def _flow_latency(lat_sub_min: np.ndarray, lat_sub_non: np.ndarray) -> np.ndarray:
-        lat_min = _group_sum(lat_sub_min * w_sub_min, aux_min)
-        lat_non = _group_sum(lat_sub_non * w_sub_non, aux_non)
-        return x * lat_min + (1.0 - x) * lat_non
-
-    flow_latency = _flow_latency(*_sub_latency(cm.queue_delay(util, cap)))
-    # latency against ambient (background) traffic only: what a message
-    # experiences once the phase's own burst has drained around it
-    lat_sub_min, lat_sub_non = _sub_latency(cm.queue_delay(bg, cap))
-    flow_latency_ambient = _flow_latency(lat_sub_min, lat_sub_non)
-
-    # worst-packet latency: the slowest used sub-path of any used side —
-    # what a globally synchronizing collective round actually waits for
-    lat_max_min = _group_max(lat_sub_min * (w_sub_min > 0.05), aux_min)
-    lat_max_non = _group_max(lat_sub_non * (w_sub_non > 0.05), aux_non)
-    # a side only contributes its worst path when it carries a meaningful
-    # share of the flow's packets (a strongly-biased mode's few stray
-    # non-minimal packets do not gate every collective round)
-    flow_latency_worst = np.maximum(
-        lat_max_min * (x > 0.15), lat_max_non * (x < 0.85)
+    per_flow = {} if link_field_only else _extract_flows(
+        top, flows, params, aux_min, aux_non, x, w_sub_min, w_sub_non,
+        load, t_link, util, raw_util, bg, w_lvl, stall_idx_cat, repcnt_cat,
     )
-    hops_min = _group_sum(hops_sub_min * w_sub_min, aux_min)
-    hops_non = _group_sum(hops_sub_non * w_sub_non, aux_non)
-    flow_hops = x * hops_min + (1.0 - x) * hops_non
-
-    # counters: stalls follow the congestion curve; saturated links
-    # additionally inflate flits (retransmission / backpressure
-    # re-injection -- the Fig. 12 effect), and that backpressure
-    # propagates upstream into the injecting NICs as processor-tile
-    # request stalls (Fig. 6 / Fig. 12's higher Proc stalls under strong
-    # minimal bias).
-    sr = cm.stall_ratio(util)
-    bp = cm.backpressure_factor(raw_util) * (1.0 + 0.6 * sr / cm.stall_cap)
-    link_flits = load / FLIT_BYTES * bp
-    link_stalls = link_flits * sr
-
-    # congestion spreading (the paper's own conclusion: "non-minimal
-    # routing can end up spreading the congestion"): a flow that crosses
-    # a saturated link exhausts credits back along its *whole* path, so
-    # every upstream link it uses — including its injection tile —
-    # accrues stalls proportional to the worst downstream congestion.
-    # Long (Valiant) paths spread that backpressure over more links.
-    # The bincount is seeded with the existing stall counts (identity
-    # scatter prefix), so each bin accumulates existing + minimal extras
-    # + non-minimal extras in the seed's exact scatter-add order.
-    coupling = cm.backpressure_inj_coupling
-    ext[:n_links] = sr
-    sr_sub_min = _masked_rowmax(ext, aux_min)
-    sr_sub_non = _masked_rowmax(ext, aux_non)
-    w_min_final = (flows.nbytes * x)[aux_min.flow] * w_sub_min
-    w_non_final = (flows.nbytes * (1.0 - x))[aux_non.flow] * w_sub_non
-    w_lvl[:ns1] = w_min_final / FLIT_BYTES * coupling * sr_sub_min
-    w_lvl[ns1:] = w_non_final / FLIT_BYTES * coupling * sr_sub_non
-    stall_w = np.empty(stall_idx_cat.size)
-    stall_w[:n_links] = link_stalls
-    stall_w[n_links:] = np.repeat(w_lvl, repcnt_cat)
-    link_stalls = np.bincount(stall_idx_cat, weights=stall_w, minlength=n_links)
-
     if guard is not None and guard.check_invariants:
-        check_fluid_result(guard, top, load, link_flits, link_stalls, flow_time)
+        get = per_flow.get
+        check_fluid_result(guard, top, load, get("link_flits"), get("link_stalls"), get("flow_time"))
 
     converged = residual_mean <= params.convergence_tol
     if not converged and fixed_duration is None:
@@ -827,20 +855,14 @@ def solve_fluid(
     return FluidResult(
         flows=flows,
         phase_time=float(T if fixed_duration is None else t_link.max()),
-        flow_time=flow_time,
-        flow_latency=flow_latency,
-        flow_latency_ambient=flow_latency_ambient,
-        flow_latency_worst=flow_latency_worst,
-        flow_hops=flow_hops,
         min_fraction=x,
         link_load=load,
         link_util=util,
         link_raw_util=raw_util,
-        link_flits=link_flits,
-        link_stalls=link_stalls,
         timescale=T,
         converged=converged,
         iterations=params.n_iter,
         residual=residual,
         residual_mean=residual_mean,
+        **per_flow,
     )

@@ -21,7 +21,6 @@ months" enters the simulation.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -29,11 +28,12 @@ import numpy as np
 
 from repro.mpi.collectives import alltoall_flows, allreduce_flows
 from repro.mpi.env import RoutingEnv
-from repro.network.fluid import FlowSet, FluidParams, sample_paths, solve_fluid
+from repro.network.fluid import FlowSet, FluidParams, solve_fluid
 from repro.scheduler.jobs import Job
 from repro.scheduler.placement import FreeNodePool, production_placement
 from repro.scheduler.workload import WorkloadModel
 from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.paths import advance_paths
 from repro.util import GB
 from repro.apps.base import grid_dims, random_pair_flows, stencil_flows
 
@@ -147,10 +147,11 @@ class BackgroundModel:
     ) -> BackgroundScenario | None:
         """Sample a job mix, place it, and solve for the utilization field.
 
-        With ``solve=False`` the solve is skipped and ``None`` returned,
-        but ``rng`` still advances exactly as a solve would advance it
-        (through :func:`~repro.network.fluid.sample_paths`, the solver's
-        only use of it), so later scenarios drawn from it are unchanged.
+        The solve stops at the link field, the only part a scenario
+        reads.  With ``solve=False`` it is skipped and ``None`` returned,
+        but :func:`~repro.topology.paths.advance_paths` makes the solve's
+        path draws (its only use of ``rng``) without building the tables,
+        so later scenarios drawn from ``rng`` are unchanged.
         """
         jobs = self.workload.sample_active_jobs(
             rng, target_fill=self.target_fill, reserve_nodes=reserve_nodes
@@ -173,8 +174,10 @@ class BackgroundModel:
         flows = FlowSet.concat(p2p_parts + a2a_parts)
         params = FluidParams(k_min=2, k_nonmin=2, n_iter=4)
         if not solve:
-            # draw (and drop) the solve's paths: its only use of rng
-            deque(sample_paths(self.top, flows, params, rng), maxlen=0)
+            advance_paths(
+                self.top, flows.src, flows.dst,
+                k_min=params.k_min, k_nonmin=params.k_nonmin, rng=rng,
+            )
             return None
         res = solve_fluid(
             self.top,
@@ -183,6 +186,7 @@ class BackgroundModel:
             rng=rng,
             params=params,
             fixed_duration=1.0,
+            link_field_only=True,
         )
         return BackgroundScenario(
             util=np.clip(res.link_raw_util, 0.0, 0.95),
@@ -204,7 +208,7 @@ class BackgroundModel:
         ``solve`` names the slots to solve (default: all); every other
         slot is ``None``.  Each slot draws from ``rng`` in order whether
         solved or not, so a solved slot holds the same scenario as in
-        the full pool.
+        the full pool, while an unsolved one builds no path table.
         """
         return [
             self.build_scenario(

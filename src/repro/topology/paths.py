@@ -138,7 +138,7 @@ class _Layout:
     small minority) with their values.
     """
 
-    def __init__(self, top: DragonflyTopology, src_node, dst_node, k: int) -> None:
+    def __init__(self, top: DragonflyTopology, src_node, dst_node, k: int, table: bool) -> None:
         self.top = top
         src_node = np.asarray(src_node, dtype=np.int64)
         dst_node = np.asarray(dst_node, dtype=np.int64)
@@ -148,11 +148,12 @@ class _Layout:
             raise ValueError("self-flows are not allowed; filter them upstream")
         n = src_node.size
         self.src, self.dst, self.n, self.k = src_node.ravel(), dst_node.ravel(), n, k
-        self.flow = np.repeat(np.arange(n, dtype=np.int64), k)
-        self.cols = np.empty((MAX_HOPS, n * k), dtype=np.int64)
-        self.table = self.cols.reshape(MAX_HOPS, n, k)
-        self.table[_COL_INJ] = (top.inj_base + self.src)[:, None]
-        self.table[_COL_EJE] = (top.eje_base + self.dst)[:, None]
+        if table:  # a draw-only layout (:func:`advance_paths`) allocates none
+            self.flow = np.repeat(np.arange(n, dtype=np.int64), k)
+            self.cols = np.empty((MAX_HOPS, n * k), dtype=np.int64)
+            self.table = self.cols.reshape(MAX_HOPS, n, k)
+            self.table[_COL_INJ] = (top.inj_base + self.src)[:, None]
+            self.table[_COL_EJE] = (top.eje_base + self.dst)[:, None]
         # (n, 1) columns broadcast against the (n, k) sub-path arrays
         npr, Rg = top.nodes_per_router, top.routers_per_group
         self.g_src, self.a_src = np.divmod(self.src[:, None] // npr, Rg)
@@ -227,6 +228,40 @@ class _Layout:
         return PathBundle(cols=self.cols, flow=self.flow, kind=kind)
 
 
+def _minimal_draws(top: DragonflyTopology, src_node, dst_node, k: int, rng, table: bool = True):
+    """:func:`minimal_paths`' layout and draws: dimension orders, cables."""
+    K = top.params.cables_per_group_pair
+    lay = _Layout(top, src_node, dst_node, min(k, K), table)
+    return lay, lay.draw(rng, lay.n, 2), lay.distinct_inter(rng, K)
+
+
+def _valiant_draws(top: DragonflyTopology, src_node, dst_node, k: int, rng, table: bool = True):
+    """:func:`valiant_paths`' layout and draws: dimension orders, detour
+    routers, then the cables (2 groups) or intermediate groups and cables."""
+    G, K = top.n_groups, top.params.cables_per_group_pair
+    lay = _Layout(top, src_node, dst_node, min(k, max(G - 2, 1)), table)
+    rank1_first = lay.draw(rng, lay.n, 2)
+    via_local = lay.draw(rng, lay.intra.size, top.routers_per_group)
+    if G == 2:
+        return lay, rank1_first, via_local, (lay.draw_inter(rng, K),)
+    inter = (lay.distinct_inter(rng, G - 2), lay.draw_inter(rng, K), lay.draw_inter(rng, K))
+    return lay, rank1_first, via_local, inter
+
+
+def advance_paths(
+    top: DragonflyTopology, src_node, dst_node, *, k_min: int, k_nonmin: int,
+    rng: np.random.Generator,
+) -> None:
+    """Advance ``rng`` as :func:`minimal_paths` then :func:`valiant_paths`
+    would, building no table: on a pristine view each builder draws all
+    it needs before it writes a table.  A faulted view's repair draws
+    depend on the tables, so it is refused."""
+    if top.fault_scale is not None:
+        raise ValueError("advance_paths needs a pristine topology view")
+    _minimal_draws(top, src_node, dst_node, k_min, rng, table=False)
+    _valiant_draws(top, src_node, dst_node, k_nonmin, rng, table=False)
+
+
 def minimal_paths(
     top: DragonflyTopology,
     src_node: np.ndarray,
@@ -241,13 +276,11 @@ def minimal_paths(
     direct group-pair bundle (capped by the bundle size); intra-group flows
     get ``k`` sub-paths that differ in local-leg dimension order.
     """
-    K = top.params.cables_per_group_pair
-    lay = _Layout(top, src_node, dst_node, min(k, K))
-    rank1_first = lay.draw(rng, lay.n, 2)
+    lay, rank1_first, cable = _minimal_draws(top, src_node, dst_node, k, rng)
 
     # an intra-group flow is routed as if both gateways were its
     # destination router, with no global hop
-    gw_a, gw_b, rank3 = _cable(top, lay.g_src, lay.g_dst, lay.distinct_inter(rng, K))
+    gw_a, gw_b, rank3 = _cable(top, lay.g_src, lay.g_dst, cable)
     a_dst = lay.a_dst[lay.intra]
     lay.local_route(_COL_LOCAL_A, lay.g_src, lay.a_src, lay.patch(gw_a, a_dst), rank1_first)
     lay.global_hop(_COL_GLOBAL_1, rank3)
@@ -270,14 +303,10 @@ def valiant_paths(
     (two global hops each); intra-group flows detour through a random
     intermediate router of the same group.
     """
-    G = top.n_groups
-    K = top.params.cables_per_group_pair
-    lay = _Layout(top, src_node, dst_node, min(k, max(G - 2, 1)))
-    rank1_first = lay.draw(rng, lay.n, 2)
+    lay, rank1_first, via_local, inter = _valiant_draws(top, src_node, dst_node, k, rng)
 
     # intra-group flows detour via a random distinct router of the group
     Rg = top.routers_per_group
-    via_local = lay.draw(rng, lay.intra.size, Rg)
     a_src, a_dst = lay.a_src[lay.intra], lay.a_dst[lay.intra]
     via = via_local
     clash = (via == a_src) | (via == a_dst)
@@ -286,12 +315,12 @@ def valiant_paths(
     clash = (via == a_src) | (via == a_dst)
     via = np.where(clash, (via_local + 2) % Rg, via)
 
-    if G == 2:
+    if top.n_groups == 2:
         # A 2-group dragonfly has no intermediate group; the only
         # non-minimal diversity is over cables, with a forced detour
         # through a random gateway.  Emit minimal-shaped paths over
         # random cables so the bias machinery still has two path sets.
-        gw_a, gw_b, rank3 = _cable(top, lay.g_src, lay.g_dst, lay.draw_inter(rng, K))
+        gw_a, gw_b, rank3 = _cable(top, lay.g_src, lay.g_dst, *inter)
         lay.local_route(_COL_LOCAL_A, lay.g_src, lay.a_src, lay.patch(gw_a, via), rank1_first)
         lay.global_hop(_COL_GLOBAL_1, rank3)
         lay.local_route(_COL_LOCAL_B, lay.g_dst, lay.patch(gw_b, via), lay.a_dst, 1 - rank1_first)
@@ -299,9 +328,7 @@ def valiant_paths(
         return lay.finish(rng, "nonminimal")
 
     # distinct intermediate groups, skipping src and dst groups
-    raw = lay.distinct_inter(rng, G - 2)
-    cab1 = lay.draw_inter(rng, K)
-    cab2 = lay.draw_inter(rng, K)
+    raw, cab1, cab2 = inter
     lo = np.minimum(lay.g_src, lay.g_dst)
     hi = np.maximum(lay.g_src, lay.g_dst)
     g_int = raw + (raw >= lo)

@@ -6,7 +6,9 @@ import pytest
 from repro.core.biases import AD0, AD1, AD2, AD3
 from repro.faults.model import FaultSchedule
 from repro.network.counters import CounterBank
+from repro.guard import GuardPolicy, RunGuard, use_guard
 from repro.network.fluid import FlowSet, FluidParams, sample_paths, solve_fluid
+from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
 
 
 def _perm_flows(top, rng, n=128, nbytes=1.2e6):
@@ -253,3 +255,79 @@ class TestSamplePaths:
             list(sample_paths(top, flows, FluidParams(), rng))
             states.append(rng.bit_generator.state)
         assert states[0] != states[1]
+
+
+#: the two link-field callers' solves: a background-pool scenario and an
+#: interference aggressor field
+LINK_FIELD_PARAMS = {
+    "pool": FluidParams(k_min=2, k_nonmin=2, n_iter=4),
+    "aggressor": FluidParams(k_min=3, k_nonmin=2, n_iter=5),
+}
+
+
+@pytest.mark.filterwarnings("ignore::repro.network.fluid.NonConvergenceWarning")
+class TestLinkFieldSolve:
+    """``link_field_only`` stops after the link field and changes nothing
+    it computes: the same bytes, the same event, the same metrics."""
+
+    def _solve(self, top, flows, name, bg, **kw):
+        rng = np.random.default_rng(21)
+        return solve_fluid(
+            top, flows, [AD0, AD3], rng=rng, params=LINK_FIELD_PARAMS[name],
+            fixed_duration=1.0, background_util=bg, **kw,
+        )
+
+    def _inputs(self, top, with_bg):
+        flows = _mini_flows(top, "random", n=400, seed=8)
+        flows = FlowSet(flows.src, flows.dst, flows.nbytes * 2e3, np.arange(400) % 2)
+        bg = None
+        if with_bg:
+            bg = np.random.default_rng(2).uniform(0.0, 0.6, top.n_links)
+        return flows, bg
+
+    @pytest.mark.parametrize("with_bg", [False, True], ids=["bare", "background"])
+    @pytest.mark.parametrize("name", sorted(LINK_FIELD_PARAMS))
+    def test_same_link_field_event_and_metrics(self, mini_top, name, with_bg):
+        flows, bg = self._inputs(mini_top, with_bg)
+        runs = []
+        for field_only in (False, True):
+            tel = Telemetry(trace=MemoryTraceWriter(), metrics=MetricsRegistry())
+            res = self._solve(mini_top, flows, name, bg, telemetry=tel, link_field_only=field_only)
+            runs.append((res, tel))
+        (full, full_tel), (field, field_tel) = runs
+        assert field.link_raw_util.tobytes() == full.link_raw_util.tobytes()
+        for attr in ("link_load", "link_util", "min_fraction"):
+            assert getattr(field, attr).tobytes() == getattr(full, attr).tobytes()
+        for attr in ("phase_time", "timescale", "iterations", "converged", "residual", "residual_mean"):
+            assert getattr(field, attr) == getattr(full, attr)
+        assert field.flow_time is None and field.link_stalls is None
+        assert full.flow_time is not None and full.link_stalls is not None
+
+        def solve_event(tel):
+            (ev,) = [e for e in tel.trace.events if e["ev"] == "fluid.solve"]
+            return {k: v for k, v in ev.items() if k not in ("ts", "wall_ms", "iter_ms")}
+
+        assert solve_event(field_tel) == solve_event(full_tel)
+
+        def metrics(tel):
+            # the wall-time histograms hold timings: compare their counts
+            return {
+                k: v["count"] if k in ("fluid_solve_seconds", "solver_iter_seconds") else v
+                for k, v in tel.metrics.to_dict().items()
+            }
+
+        assert metrics(field_tel) == metrics(full_tel)
+
+    def test_non_finite_load_still_checked(self, mini_top):
+        flows, _ = self._inputs(mini_top, False)
+        nbytes = flows.nbytes.copy()
+        nbytes[3] = np.inf
+        flows = FlowSet(flows.src, flows.dst, nbytes, flows.cls)
+        guard = RunGuard(GuardPolicy(invariants="record"))
+        with use_guard(guard):
+            self._solve(mini_top, flows, "pool", None, link_field_only=True)
+        post = [v for v in guard.violations if v["invariant"] == "fluid.finite_result"]
+        assert post == [
+            {"invariant": "fluid.finite_result", "detail": "load contains non-finite values",
+             "field": "load"}
+        ]

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from repro.apps import MILC
 from repro.core import checkpoint as ckpt
 from repro.core.biases import AD0, AD3
 from repro.core.experiment import (
+    CampaignBackground,
     CampaignConfig,
     campaign_fingerprint,
     drawn_slots,
@@ -34,7 +36,9 @@ from repro.dist import DistDispatcher, DistWorker, WorkQueue
 from repro.scheduler import background
 from repro.scheduler.background import BackgroundModel
 from repro.service import RunRecordStore, entry_key, run_campaign_cached
+from repro.topology.pathcache import path_cache_stats
 from repro.topology.systems import mini
+from repro.util import derive_rng
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.network.fluid.NonConvergenceWarning"
@@ -126,6 +130,25 @@ class TestPoolBuiltOnlyWhenNeeded:
         records = run_campaign(top, _cfg(), jobs=1)
         assert _dicts(records) == serial[0]
         assert solves.counts() == {os.getpid(): len(DRAWN)}
+
+    def test_cold_pool_build_skips_unread_path_tables(self, solves):
+        # a drawn slot builds its minimal and Valiant tables; an unread
+        # slot only makes their draws.  ``_cfg()``'s mini pool places no
+        # jobs, so this pool is on 8 groups, where every slot has flows.
+        top8 = mini(n_groups=8)
+        cfg = replace(_cfg(), seed=2)
+        drawn = drawn_slots(top8, cfg)
+        assert drawn == {1, 2}
+        full = BackgroundModel(top8).build_pool(
+            POOL, derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes),
+            reserve_nodes=cfg.n_nodes,
+        )
+        assert all(s.n_jobs > 0 for s in full)
+        solves.reset()
+        before = path_cache_stats()["misses"]
+        CampaignBackground(top8, cfg).build()
+        assert path_cache_stats()["misses"] - before == 2 * len(drawn)
+        assert solves.counts() == {os.getpid(): len(drawn)}
 
     def test_fully_resumed_serial_builds_nothing(
         self, top, builds, serial, tmp_path
