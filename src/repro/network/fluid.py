@@ -61,6 +61,11 @@ from repro.topology.paths import MAX_HOPS, PathBundle
 from repro.topology.pathcache import cached_minimal_paths, cached_valiant_paths
 
 
+#: sub-paths per chunk of the ordered load and stall scatters: bounds
+#: their expanded per-entry weights to about a megabyte
+_SCATTER_CHUNK = 16384
+
+
 class NonConvergenceWarning(RuntimeWarning):
     """The fluid solver hit its iteration cap before the splits settled."""
 
@@ -243,8 +248,8 @@ class _BundleAux:
         "k",
         "uniform",
         "flow",
-        "live",
         "safe",
+        "slots",
         "repcnt",
         "w0",
         "hops",
@@ -264,12 +269,16 @@ class _BundleAux:
         self.uniform = self.k > 0 and self.k * n_flows == cols.shape[1]
         # path columns some sub-path uses (pristine minimal bundles never
         # reach columns 6-8); the per-path reductions skip the rest
-        self.live = np.flatnonzero(valid.any(axis=1))
+        live = np.flatnonzero(valid.any(axis=1))
         # sentinel gather index over the live columns: invalid slots
         # (-1, i.e. the largest uint64) read vals_ext[n_links], which
         # every caller pins to 0.0
-        self.safe = cols[self.live]
+        self.safe = cols[live]
         np.minimum(self.safe.view(np.uint64), n_links, out=self.safe.view(np.uint64))
+        # each path column's gather index, None for a dead column
+        self.slots: list[np.ndarray | None] = [None] * MAX_HOPS
+        for j, col in zip(live, self.safe):
+            self.slots[j] = col
         # valid-entry count per sub-path: np.repeat over these counts
         # expands a per-sub-path weight to the flat valid-entry layout
         self.repcnt = valid.sum(axis=0)
@@ -347,29 +356,53 @@ def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 def _masked_rowsum(vals_ext: np.ndarray, aux: _BundleAux) -> np.ndarray:
     """``np.where(valid, vals[links], 0.0).sum(axis=1)`` without the mask.
 
-    Gathers the live columns through the sentinel-extended value table
-    (``vals_ext[-1]`` must be 0.0) so invalid slots contribute exact
-    zeros, then reduces in numpy's own pairwise order for the fixed
-    ``MAX_HOPS == 10`` row width — byte-identical to the masked form and
-    several times faster.
+    Gathers one live column at a time through the sentinel-extended value
+    table (``vals_ext[-1]`` must be 0.0), so invalid slots contribute
+    exact zeros, and folds each column into numpy's own pairwise order
+    for the fixed ``MAX_HOPS == 10`` row width as soon as it is gathered
+    — byte-identical to the masked form, holding at most four per-sub-path
+    vectors, and returning an array of its own.
     """
-    c = [None] * MAX_HOPS
-    for j, row in zip(aux.live, vals_ext.take(aux.safe)):
-        c[j] = row
+    def leaf(j: int) -> np.ndarray | None:
+        col = aux.slots[j]
+        return None if col is None else vals_ext.take(col)
+
     # numpy's pairwise reduction of a width-10 row: an 8-leaf balanced
     # tree followed by two sequential tail adds
     s = _add(
-        _add(_add(c[0], c[1]), _add(c[2], c[3])),
-        _add(_add(c[4], c[5]), _add(c[6], c[7])),
+        _add(_add(leaf(0), leaf(1)), _add(leaf(2), leaf(3))),
+        _add(_add(leaf(4), leaf(5)), _add(leaf(6), leaf(7))),
     )
-    return _add(_add(s, c[8]), c[9])
+    return _add(_add(s, leaf(8)), leaf(9))
 
 
 def _masked_rowmax(vals_ext: np.ndarray, aux: _BundleAux) -> np.ndarray:
-    """``np.where(valid, vals[links], 0.0).max(axis=1)`` via sentinel
-    gathers over the live columns (max is order-exact, and a dead
-    column's 0.0 cannot raise a max of non-negative values)."""
-    return vals_ext.take(aux.safe).max(axis=0)
+    """``np.where(valid, vals[links], 0.0).max(axis=1)`` as a running
+    maximum over one sentinel gather per live column (max is order-exact,
+    and a dead column's 0.0 cannot raise a max of non-negative values)."""
+    cols = iter(aux.safe)
+    out = vals_ext.take(next(cols))
+    for col in cols:
+        np.maximum(out, vals_ext.take(col), out=out)
+    return out
+
+
+def _scatter_add(
+    out: np.ndarray, idx_cat: np.ndarray, w_lvl: np.ndarray, repcnt_cat: np.ndarray,
+    chunk: int = _SCATTER_CHUNK,
+) -> None:
+    """``out[idx_cat] += np.repeat(w_lvl, repcnt_cat)``, entry by entry.
+
+    ``np.add.at`` adds in index order — the order of a ``bincount`` bin
+    — so each bin of ``out`` receives the same additions in the same
+    order however the entries are chunked; only ``chunk`` sub-paths'
+    expanded weights exist at a time.
+    """
+    ea = 0
+    for a in range(0, w_lvl.size, chunk):
+        w = np.repeat(w_lvl[a:a + chunk], repcnt_cat[a:a + chunk])
+        np.add.at(out, idx_cat[ea:ea + w.size], w)
+        ea += w.size
 
 
 def _group_min(values: np.ndarray, aux: _BundleAux) -> np.ndarray:
@@ -451,7 +484,7 @@ def _extract_flows(
     aux_min: _BundleAux, aux_non: _BundleAux,
     x: np.ndarray, w_sub_min: np.ndarray, w_sub_non: np.ndarray,
     load: np.ndarray, t_link: np.ndarray, util: np.ndarray, raw_util: np.ndarray,
-    bg: np.ndarray, w_lvl: np.ndarray, stall_idx_cat: np.ndarray, repcnt_cat: np.ndarray,
+    bg: np.ndarray, w_lvl: np.ndarray, idx_cat: np.ndarray, repcnt_cat: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The converged solve's per-flow times, latencies and hops, and its
     per-link flit and stall counters."""
@@ -531,9 +564,9 @@ def _extract_flows(
     # every upstream link it uses — including its injection tile —
     # accrues stalls proportional to the worst downstream congestion.
     # Long (Valiant) paths spread that backpressure over more links.
-    # The bincount is seeded with the existing stall counts (identity
-    # scatter prefix), so each bin accumulates existing + minimal extras
-    # + non-minimal extras in the seed's exact scatter-add order.
+    # The extras are scattered onto the existing stall counts, so each
+    # bin accumulates existing + minimal extras + non-minimal extras in
+    # the seed's exact scatter-add order.
     coupling = cm.backpressure_inj_coupling
     ext[:n_links] = sr
     sr_sub_min = _masked_rowmax(ext, aux_min)
@@ -542,10 +575,7 @@ def _extract_flows(
     w_non_final = (flows.nbytes * (1.0 - x))[aux_non.flow] * w_sub_non
     w_lvl[:ns1] = w_min_final / FLIT_BYTES * coupling * sr_sub_min
     w_lvl[ns1:] = w_non_final / FLIT_BYTES * coupling * sr_sub_non
-    stall_w = np.empty(stall_idx_cat.size)
-    stall_w[:n_links] = link_stalls
-    stall_w[n_links:] = np.repeat(w_lvl, repcnt_cat)
-    link_stalls = np.bincount(stall_idx_cat, weights=stall_w, minlength=n_links)
+    _scatter_add(link_stalls, idx_cat, w_lvl, repcnt_cat)
     return dict(
         flow_time=flow_time, flow_latency=flow_latency,
         flow_latency_ambient=flow_latency_ambient, flow_latency_worst=flow_latency_worst,
@@ -680,17 +710,14 @@ def solve_fluid(
     adaptive_temp = params.policy.adaptive_temp
     cap1 = np.maximum(cap, 1.0)
 
-    # One bincount over the concatenated (minimal ++ non-minimal)
-    # valid-entry link ids accumulates each bin in exactly the order two
-    # sequential ``np.add.at`` calls onto a zeroed array would, so the
-    # per-link loads are byte-identical to the scatter-add formulation.
-    # The final stall scatter prefixes the identity scatter of the
-    # existing stall counts.
+    # The concatenated (minimal ++ non-minimal) valid-entry link ids:
+    # one ordered scatter over them (_scatter_add) adds into each bin in
+    # exactly the order two sequential ``np.add.at`` calls would, so the
+    # per-link loads and the final stall counts are byte-identical to
+    # the scatter-add formulation.
     ns1 = aux_min.flow.size
     n_valid_min = int(aux_min.repcnt.sum())
-    stall_idx_cat = np.empty(n_links + n_valid_min + int(aux_non.repcnt.sum()), dtype=np.int64)
-    stall_idx_cat[:n_links] = np.arange(n_links)
-    idx_cat = stall_idx_cat[n_links:]
+    idx_cat = np.empty(n_valid_min + int(aux_non.repcnt.sum()), dtype=np.int64)
     aux_min.link_ids(idx_cat[:n_valid_min])
     aux_non.link_ids(idx_cat[n_valid_min:])
     # local visibility window of the routing decision (see _BundleAux)
@@ -718,16 +745,15 @@ def solve_fluid(
     t_loop = time.perf_counter() if tel.enabled else 0.0
     for it in range(params.n_iter):
         # 1. per-link loads from the current side splits and within-side
-        #    adaptive weights: gather each valid path slot's byte weight,
-        #    then one bincount over the hoisted flat link ids
+        #    adaptive weights: each sub-path's byte weight, scattered
+        #    onto the hoisted flat link ids of its valid path slots
         np.multiply(flows.nbytes, x, out=nbx_min)
         np.subtract(1.0, x, out=nbx_non)
         np.multiply(flows.nbytes, nbx_non, out=nbx_non)
         np.multiply(nbx_min[aux_min.flow], w_sub_min, out=w_lvl[:ns1])
         np.multiply(nbx_non[aux_non.flow], w_sub_non, out=w_lvl[ns1:])
-        load = np.bincount(
-            idx_cat, weights=np.repeat(w_lvl, repcnt_cat), minlength=n_links
-        )
+        load = np.zeros(n_links)
+        _scatter_add(load, idx_cat, w_lvl, repcnt_cat)
 
         # 2. timescale and utilizations
         t_link = load * inv_cap_eff
@@ -792,7 +818,7 @@ def solve_fluid(
 
     per_flow = {} if link_field_only else _extract_flows(
         top, flows, params, aux_min, aux_non, x, w_sub_min, w_sub_non,
-        load, t_link, util, raw_util, bg, w_lvl, stall_idx_cat, repcnt_cat,
+        load, t_link, util, raw_util, bg, w_lvl, idx_cat, repcnt_cat,
     )
     if guard is not None and guard.check_invariants:
         get = per_flow.get

@@ -1,14 +1,27 @@
 """Unit and behavioral tests for the fluid congestion engine."""
 
+import copy
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.apps import HACC, MILC
 from repro.core.biases import AD0, AD1, AD2, AD3
+from repro.core.experiment import CampaignBackground, CampaignConfig, phase_slices, resolve_scenarios
 from repro.faults.model import FaultSchedule
+from repro.mpi.env import RoutingEnv
 from repro.network.counters import CounterBank
 from repro.guard import GuardPolicy, RunGuard, use_guard
-from repro.network.fluid import FlowSet, FluidParams, sample_paths, solve_fluid
+from repro.network.fluid import (
+    FlowSet, FluidParams, _add, _BundleAux, _masked_rowmax, _masked_rowsum, _scatter_add,
+    sample_paths, solve_fluid,
+)
+from repro.scheduler import background
 from repro.telemetry import MemoryTraceWriter, MetricsRegistry, Telemetry
+from repro.topology.paths import PathBundle, advance_paths
+from repro.util import derive_rng
 
 
 def _perm_flows(top, rng, n=128, nbytes=1.2e6):
@@ -331,3 +344,169 @@ class TestLinkFieldSolve:
             {"invariant": "fluid.finite_result", "detail": "load contains non-finite values",
              "field": "load"}
         ]
+
+
+def _bincount_scatter(start, idx_cat, w_lvl, repcnt_cat):
+    """The one-``bincount`` form of the solver's scatters: an identity
+    prefix carries ``start`` into every bin ahead of the path entries."""
+    n = start.size
+    return np.bincount(
+        np.concatenate([np.arange(n), idx_cat]),
+        weights=np.concatenate([start, np.repeat(w_lvl, repcnt_cat)]),
+        minlength=n,
+    )
+
+
+def _table_rowsum(vals_ext, aux):
+    """The 2-D form of :func:`_masked_rowsum`: gather every live column
+    into one table, then reduce its rows in the same pairwise tree."""
+    rows = iter(vals_ext.take(aux.safe))
+    c = [None if col is None else next(rows) for col in aux.slots]
+    s = _add(
+        _add(_add(c[0], c[1]), _add(c[2], c[3])),
+        _add(_add(c[4], c[5]), _add(c[6], c[7])),
+    )
+    return _add(_add(s, c[8]), c[9])
+
+
+def _theta_bundles(top, n=3000, seed=4):
+    flows = _mini_flows(top, "random", n=n, seed=seed)
+    return list(sample_paths(top, flows, FluidParams(), np.random.default_rng(seed))), n
+
+
+class TestBoundedWorkingSet:
+    """The solver's column-at-a-time gathers and chunked ordered scatters
+    give the bytes of the one-table gathers and one-``bincount`` scatters
+    they replace."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16384])
+    @pytest.mark.parametrize("start", ["zeros", "stalls"])
+    def test_chunked_scatter_matches_prefixed_bincount(self, chunk, start):
+        rng = np.random.default_rng(11)
+        n_bins, n_sub = 6, 500
+        # few bins, so every bin repeats within and across chunks
+        repcnt = rng.integers(2, 11, n_sub)
+        idx = rng.integers(0, n_bins, int(repcnt.sum()))
+        # weights spread over many decades: the sum depends on the order
+        w = rng.lognormal(0.0, 6.0, n_sub)
+        init = np.zeros(n_bins) if start == "zeros" else rng.lognormal(0.0, 6.0, n_bins)
+        out = init.copy()
+        _scatter_add(out, idx, w, repcnt, chunk=chunk)
+        expect = _bincount_scatter(init, idx, w, repcnt)
+        assert out.tobytes() == expect.tobytes()
+        # the check has teeth: another order gives other bytes
+        rev = _bincount_scatter(init, idx[::-1], w[::-1], repcnt[::-1])
+        assert rev.tobytes() != expect.tobytes()
+
+    def test_chunked_scatter_on_solver_layout(self, theta_top):
+        (bmin, bnon), n = _theta_bundles(theta_top)
+        auxes = [_BundleAux(b, n, theta_top.n_links) for b in (bmin, bnon)]
+        repcnt = np.concatenate([a.repcnt for a in auxes])
+        idx = np.empty(int(repcnt.sum()), dtype=np.int64)
+        n_min = int(auxes[0].repcnt.sum())
+        auxes[0].link_ids(idx[:n_min])
+        auxes[1].link_ids(idx[n_min:])
+        w = np.random.default_rng(5).lognormal(10.0, 3.0, repcnt.size)
+        init = np.random.default_rng(6).lognormal(0.0, 3.0, theta_top.n_links)
+        for chunk in (7, 1000, repcnt.size + 1):
+            for start in (np.zeros(theta_top.n_links), init):
+                out = start.copy()
+                _scatter_add(out, idx, w, repcnt, chunk=chunk)
+                assert out.tobytes() == _bincount_scatter(start, idx, w, repcnt).tobytes()
+
+    def _assert_gathers_match(self, top, bundle, n):
+        aux = _BundleAux(bundle, n, top.n_links)
+        vals_ext = np.random.default_rng(9).lognormal(-2.0, 2.0, top.n_links + 1)
+        vals_ext[-1] = 0.0
+        s = _masked_rowsum(vals_ext, aux)
+        assert s.base is None  # its own array, not a row of a table
+        assert s.tobytes() == _table_rowsum(vals_ext, aux).tobytes()
+        assert _masked_rowmax(vals_ext, aux).tobytes() == vals_ext.take(aux.safe).max(axis=0).tobytes()
+        # and both are the masked forms they stand for
+        # (row-major, so each row reduces in numpy's pairwise order)
+        links = np.ascontiguousarray(bundle.links)
+        masked = np.where(links >= 0, vals_ext[links], 0.0)
+        assert s.tobytes() == masked.sum(axis=1).tobytes()
+        assert _masked_rowmax(vals_ext, aux).tobytes() == masked.max(axis=1).tobytes()
+        return aux
+
+    def test_gathers_on_pristine_bundles(self, theta_top):
+        (bmin, bnon), n = _theta_bundles(theta_top)
+        aux = self._assert_gathers_match(theta_top, bmin, n)
+        assert aux.slots[6:9] == [None] * 3  # minimal paths never reach 6-8
+        self._assert_gathers_match(theta_top, bnon, n)
+
+    def test_gathers_on_cut_view(self, theta_top):
+        # the 0-1 bundle is cut whole: minimal flows between those groups
+        # are repaired onto detours that use columns 6-8
+        cut = ";".join(f"cable:0-1:{c}" for c in range(12))
+        view = theta_top.with_faults(FaultSchedule.parse(cut, seed=5))
+        (bmin, bnon), n = _theta_bundles(view)
+        aux = self._assert_gathers_match(view, bmin, n)
+        assert all(col is not None for col in aux.slots[6:9])
+        self._assert_gathers_match(view, bnon, n)
+
+    def test_gathers_on_non_uniform_bundle(self, theta_top):
+        (bmin, _), n = _theta_bundles(theta_top)
+        # drop a random third of the sub-paths: flows own 1-6 candidates
+        keep = np.random.default_rng(3).random(bmin.n_subpaths) > 1 / 3
+        bundle = PathBundle(np.ascontiguousarray(bmin.cols[:, keep]), bmin.flow[keep], bmin.kind)
+        aux = self._assert_gathers_match(theta_top, bundle, n)
+        assert not aux.uniform
+
+
+def _traced_peak_mb(solve):
+    """``tracemalloc`` peak of ``solve()`` above its start, in MB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore::repro.network.fluid.NonConvergenceWarning")
+class TestSolveWorkingSet:
+    """A solve keeps only its index tables and per-sub-path vectors:
+    no value table or expanded-weight array outlives its statement.  The
+    two solves that set a campaign process's peak, measured on Theta."""
+
+    BOUND_MB = 44.0
+
+    def test_pool_slot_working_set(self, theta_top, monkeypatch):
+        # the largest drawn slot of `compare --system theta --app milc
+        # --nodes 512 --seed 2009`: record every drawn slot's solve inputs
+        # (the stand-in draws what the solve draws), then solve the largest
+        cfg = CampaignConfig(app=MILC(), n_nodes=512, samples=8, seed=2009)
+        calls = []
+
+        def record(top, flows, modes, *, rng, params, **kw):
+            calls.append((flows, modes, copy.deepcopy(rng), params, kw))
+            advance_paths(top, flows.src, flows.dst, k_min=params.k_min, k_nonmin=params.k_nonmin, rng=rng)
+            return SimpleNamespace(link_raw_util=np.zeros(top.n_links))
+
+        monkeypatch.setattr(background, "solve_fluid", record)
+        resolve_scenarios(theta_top, cfg, None, None)
+        flows, modes, rng, params, kw = max(calls, key=lambda c: c[0].n)
+        assert flows.n == 39168
+        assert kw == {"fixed_duration": 1.0, "link_field_only": True}
+        assert (params.k_min, params.k_nonmin, params.n_iter) == (2, 2, 4)
+        peak = _traced_peak_mb(lambda: solve_fluid(theta_top, flows, modes, rng=rng, params=params, **kw))
+        assert peak <= self.BOUND_MB
+
+    def test_hacc_phase_working_set(self, theta_top):
+        # the first phase of HACC-1024 sample 0 under AD0, seed 2009, at
+        # default FluidParams: the run's own stream, background and nodes
+        app = HACC()
+        cfg = CampaignConfig(app=app, n_nodes=1024, samples=1, seed=2009)
+        nodes, bg, _ = CampaignBackground(theta_top, cfg).draws(0)
+        rng = derive_rng(cfg.seed, app.name, cfg.n_nodes, 0, AD0.name)
+        phase = app.phases(nodes, rng)[0]
+        flows, _ = phase_slices(phase)
+        assert flows.n == 12288
+        peak = _traced_peak_mb(lambda: solve_fluid(
+            theta_top, flows, RoutingEnv.uniform(AD0).modes_list(), background_util=bg,
+            rng=rng, min_duration=phase.spread_time,
+        ))
+        assert peak <= self.BOUND_MB
