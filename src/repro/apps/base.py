@@ -22,8 +22,7 @@ import abc
 
 import numpy as np
 
-from repro.mpi.patterns import Phase
-from repro.network.fluid import FlowSet
+from repro import mpi, network
 
 
 def grid_dims(n: int, ndims: int) -> tuple[int, ...]:
@@ -77,7 +76,7 @@ def stencil_flows(
     bytes_per_neighbor: float,
     *,
     periodic: bool = True,
-) -> FlowSet:
+) -> network.FlowSet:
     """Nearest-neighbor (±1 per dimension) exchange flows on a grid.
 
     Each rank sends ``bytes_per_neighbor`` to each of its ``2 * ndims``
@@ -106,11 +105,11 @@ def stencil_flows(
             src_parts.append(nodes[np.arange(P)[valid]])
             dst_parts.append(nodes[partner[valid]])
     if not src_parts:
-        return FlowSet.empty()
+        return network.FlowSet.empty()
     src = np.concatenate(src_parts)
     dst = np.concatenate(dst_parts)
     keep = src != dst  # dims of size 2 make +1/-1 the same partner
-    return FlowSet(
+    return network.FlowSet(
         src[keep],
         dst[keep],
         np.full(keep.sum(), float(bytes_per_neighbor)),
@@ -123,7 +122,7 @@ def random_pair_flows(
     partners_per_rank: int,
     bytes_per_partner: float,
     rng: np.random.Generator,
-) -> FlowSet:
+) -> network.FlowSet:
     """Random rank-pair flows (FFT-transpose-style bisection traffic)."""
     nodes = np.asarray(nodes, dtype=np.int64)
     P = nodes.size
@@ -131,7 +130,7 @@ def random_pair_flows(
     ranks = np.repeat(np.arange(P), k)
     offsets = rng.integers(1, P, size=ranks.size)
     partners = (ranks + offsets) % P
-    return FlowSet(
+    return network.FlowSet(
         nodes[ranks],
         nodes[partners],
         np.full(ranks.size, float(bytes_per_partner)),
@@ -174,7 +173,7 @@ class Application(abc.ABC):
         raise ValueError(f"unknown scaling mode {self.scaling!r}")
 
     @abc.abstractmethod
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         """Phases of one outer iteration on the given rank-to-node map."""
 
     @abc.abstractmethod

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi
 from repro.apps.base import Application, grid_dims, random_pair_flows, stencil_flows
-from repro.mpi.collectives import allreduce_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase, TrafficOp
 from repro.util import KiB, MiB
 
 
@@ -52,7 +51,7 @@ class HACC(Application):
     def n_iterations(self, P: int) -> int:
         return 5600
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         P = nodes.size
         s = self.scale_factor(P)
@@ -63,7 +62,7 @@ class HACC(Application):
             self.fft_msg_bytes * s * self.transposes_per_iter,
             rng,
         )
-        fft_spec = P2PSpec(
+        fft_spec = mpi.P2PSpec(
             flows=fft,
             # large async messages: latency fully hidden, Wait is pure
             # bandwidth time
@@ -75,7 +74,7 @@ class HACC(Application):
 
         dims3 = grid_dims(P, 3)
         particles = stencil_flows(nodes, dims3, self.particle_msg_bytes * s)
-        particle_spec = P2PSpec(
+        particle_spec = mpi.P2PSpec(
             flows=particles,
             exposed_messages=2.0,
             wait_op="MPI_Waitall",
@@ -83,24 +82,24 @@ class HACC(Application):
             messages_per_rank=2 * sum(1 for d in dims3 if d > 1),
         )
 
-        ar_flows, ar_rounds = allreduce_flows(nodes, 1 * KiB)
-        allreduce = CollectiveSpec(
+        ar_flows, ar_rounds = mpi.allreduce_flows(nodes, 1 * KiB)
+        allreduce = mpi.CollectiveSpec(
             op="MPI_Allreduce",
             flows=ar_flows.scaled(self.allreduces_per_iter),
             rounds=ar_rounds * self.allreduces_per_iter,
-            traffic_op=TrafficOp.P2P,
+            traffic_op=mpi.TrafficOp.P2P,
             calls=self.allreduces_per_iter,
             msg_bytes=1 * KiB,
         )
 
         return [
-            Phase(
+            mpi.Phase(
                 name="fft_transpose",
                 compute_time=self.compute_per_iter * s,
                 p2p=fft_spec,
             ),
-            Phase(name="particle_exchange", compute_time=0.0, p2p=particle_spec),
-            Phase(
+            mpi.Phase(name="particle_exchange", compute_time=0.0, p2p=particle_spec),
+            mpi.Phase(
                 name="global_sums",
                 compute_time=0.0,
                 collectives=[allreduce],

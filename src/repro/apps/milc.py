@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi
 from repro.apps.base import Application, grid_dims, stencil_flows
-from repro.mpi.collectives import allreduce_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase, TrafficOp
 from repro.util import KiB
 
 
@@ -73,7 +72,7 @@ class MILC(Application):
         # expressed through the reduced ``stencil_msg_bytes``
         return nodes
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = self.rank_to_node(nodes)
         P = nodes.size
         s = self.scale_factor(P)
@@ -82,7 +81,7 @@ class MILC(Application):
         msg = self.stencil_msg_bytes * s
         stencil = stencil_flows(nodes, dims, msg * self.cg_per_iter)
         msgs_per_rank = 2 * sum(1 for d in dims if d > 1) * self.cg_per_iter
-        p2p = P2PSpec(
+        p2p = mpi.P2PSpec(
             flows=stencil,
             exposed_messages=self.exposed_fraction * msgs_per_rank,
             wait_op="MPI_Wait",
@@ -92,12 +91,12 @@ class MILC(Application):
         )
 
         ar_calls = self.allreduces_per_cg * self.cg_per_iter
-        ar_flows, ar_rounds = allreduce_flows(nodes, 8.0)
-        allreduce = CollectiveSpec(
+        ar_flows, ar_rounds = mpi.allreduce_flows(nodes, 8.0)
+        allreduce = mpi.CollectiveSpec(
             op="MPI_Allreduce",
             flows=ar_flows.scaled(ar_calls),
             rounds=ar_rounds * ar_calls,
-            traffic_op=TrafficOp.P2P,
+            traffic_op=mpi.TrafficOp.P2P,
             calls=ar_calls,
             msg_bytes=8.0,
         )
@@ -107,7 +106,7 @@ class MILC(Application):
         # run after the exchange drains, so they see background (not the
         # stencil burst) on their paths: separate phases.
         return [
-            Phase(
+            mpi.Phase(
                 name="stencil_exchange",
                 compute_time=self.compute_per_iter * s,
                 p2p=p2p,
@@ -116,7 +115,7 @@ class MILC(Application):
                 # the stall counters is measured over the full window
                 spread_time=self.compute_per_iter * s,
             ),
-            Phase(
+            mpi.Phase(
                 name="cg_allreduce",
                 compute_time=0.0,
                 collectives=[allreduce],

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi, network
 from repro.apps.base import Application
-from repro.mpi.collectives import allreduce_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase, TrafficOp
-from repro.network.fluid import FlowSet
 from repro.util import KiB
 
 
@@ -52,7 +50,9 @@ class Nek5000(Application):
     def n_iterations(self, P: int) -> int:
         return 7700
 
-    def _mesh_flows(self, nodes: np.ndarray, nbytes: float, rng: np.random.Generator) -> FlowSet:
+    def _mesh_flows(
+        self, nodes: np.ndarray, nbytes: float, rng: np.random.Generator
+    ) -> network.FlowSet:
         """Locality-weighted degree-``gs_degree`` neighbor flows."""
         P = nodes.size
         k = min(self.gs_degree, P - 1)
@@ -63,21 +63,21 @@ class Nek5000(Application):
         partners = (ranks + sign * raw) % P
         clash = partners == ranks
         partners[clash] = (ranks[clash] + 1) % P
-        return FlowSet(
+        return network.FlowSet(
             nodes[ranks],
             nodes[partners],
             np.full(ranks.size, float(nbytes)),
             np.zeros(ranks.size, dtype=np.int64),
         )
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         P = nodes.size
         s = self.scale_factor(P)
 
         gs = self._mesh_flows(nodes, self.gs_msg_bytes * s * self.solves_per_iter, rng)
         msgs_per_rank = self.gs_degree * self.solves_per_iter
-        p2p = P2PSpec(
+        p2p = mpi.P2PSpec(
             flows=gs,
             exposed_messages=self.exposed_fraction * msgs_per_rank,
             wait_op="MPI_Waitall",
@@ -87,24 +87,24 @@ class Nek5000(Application):
         )
 
         ar_calls = self.allreduces_per_solve * self.solves_per_iter
-        ar_flows, ar_rounds = allreduce_flows(nodes, 16.0)
-        allreduce = CollectiveSpec(
+        ar_flows, ar_rounds = mpi.allreduce_flows(nodes, 16.0)
+        allreduce = mpi.CollectiveSpec(
             op="MPI_Allreduce",
             flows=ar_flows.scaled(ar_calls),
             rounds=ar_rounds * ar_calls,
-            traffic_op=TrafficOp.P2P,
+            traffic_op=mpi.TrafficOp.P2P,
             calls=ar_calls,
             msg_bytes=16.0,
         )
 
         # a blocking-receive pipeline stage (coarse-grid solve gathers)
-        ring = FlowSet(
+        ring = network.FlowSet(
             nodes,
             np.roll(nodes, -1),
             np.full(P, 2 * KiB * s * 20),
             np.zeros(P, dtype=np.int64),
         )
-        pipeline = P2PSpec(
+        pipeline = mpi.P2PSpec(
             flows=ring,
             exposed_messages=20.0,
             wait_op="MPI_Recv",
@@ -115,12 +115,12 @@ class Nek5000(Application):
         # the small solver allreduces run between gs exchanges, against
         # background congestion rather than the exchange burst
         return [
-            Phase(name="gs_exchange", compute_time=self.compute_per_iter * s, p2p=p2p),
-            Phase(
+            mpi.Phase(name="gs_exchange", compute_time=self.compute_per_iter * s, p2p=p2p),
+            mpi.Phase(
                 name="solver_allreduce",
                 compute_time=0.0,
                 collectives=[allreduce],
                 spread_time=self.compute_per_iter * s,
             ),
-            Phase(name="coarse_grid", compute_time=0.0, p2p=pipeline),
+            mpi.Phase(name="coarse_grid", compute_time=0.0, p2p=pipeline),
         ]

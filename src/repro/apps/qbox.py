@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi, network
 from repro.apps.base import Application, grid_dims
-from repro.mpi.collectives import alltoallv_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase, TrafficOp
-from repro.network.fluid import FlowSet
 from repro.util import KiB
 
 
@@ -50,7 +48,7 @@ class Qbox(Application):
     def n_iterations(self, P: int) -> int:
         return 7900
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         P = nodes.size
         s = self.scale_factor(P)
@@ -64,13 +62,13 @@ class Qbox(Application):
         ref_partners = int(np.sqrt(self.base_nodes)) - 1
         col_size = P // cols
         pair_bytes = self.a2a_pair_bytes * s * ref_partners / max(col_size - 1, 1)
-        col_parts: list[FlowSet] = []
+        col_parts: list[network.FlowSet] = []
         rounds_total = 0.0
         for c in range(cols):
             members = nodes[np.arange(c, P, cols)]
             if members.size < 2:
                 continue
-            fl, rounds = alltoallv_flows(
+            fl, rounds = mpi.alltoallv_flows(
                 members,
                 pair_bytes,
                 imbalance=0.3,
@@ -79,11 +77,11 @@ class Qbox(Application):
             )
             col_parts.append(fl)
             rounds_total = rounds  # same size per column; rounds not summed
-        a2a = CollectiveSpec(
+        a2a = mpi.CollectiveSpec(
             op="MPI_Alltoallv",
-            flows=FlowSet.concat(col_parts).scaled(self.a2a_calls_per_iter),
+            flows=network.FlowSet.concat(col_parts).scaled(self.a2a_calls_per_iter),
             rounds=rounds_total * self.a2a_calls_per_iter,
-            traffic_op=TrafficOp.A2A,
+            traffic_op=mpi.TrafficOp.A2A,
             calls=self.a2a_calls_per_iter,
             msg_bytes=pair_bytes,
             sync="pairwise",
@@ -93,13 +91,13 @@ class Qbox(Application):
         ranks = np.arange(P)
         right = (ranks // cols) * cols + (ranks + 1) % cols
         keep = right != ranks
-        row = FlowSet(
+        row = network.FlowSet(
             nodes[ranks[keep]],
             nodes[right[keep]],
             np.full(int(keep.sum()), self.row_msg_bytes * s * self.row_msgs_per_iter),
             np.zeros(int(keep.sum()), dtype=np.int64),
         )
-        p2p = P2PSpec(
+        p2p = mpi.P2PSpec(
             flows=row,
             exposed_messages=float(self.row_msgs_per_iter),  # blocking
             wait_op="MPI_Recv",
@@ -112,13 +110,13 @@ class Qbox(Application):
         # interleaved with the DGEMMs (latency-exposed, mode-sensitive)
         down = (ranks + cols) % P
         keep2 = down != ranks
-        pipe = FlowSet(
+        pipe = network.FlowSet(
             nodes[ranks[keep2]],
             nodes[down[keep2]],
             np.full(int(keep2.sum()), 2 * KiB * self.pipe_msgs_per_iter),
             np.zeros(int(keep2.sum()), dtype=np.int64),
         )
-        pipe_spec = P2PSpec(
+        pipe_spec = mpi.P2PSpec(
             flows=pipe,
             exposed_messages=float(self.pipe_msgs_per_iter),
             wait_op="MPI_Recv",
@@ -128,13 +126,13 @@ class Qbox(Application):
         )
 
         return [
-            Phase(
+            mpi.Phase(
                 name="wf_transpose",
                 compute_time=self.compute_per_iter * s,
                 p2p=p2p,
                 collectives=[a2a],
             ),
-            Phase(
+            mpi.Phase(
                 name="dgemm_pipeline",
                 compute_time=0.0,
                 p2p=pipe_spec,

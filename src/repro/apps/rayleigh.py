@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi, network
 from repro.apps.base import Application
-from repro.mpi.collectives import alltoallv_flows, barrier_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase, TrafficOp
-from repro.network.fluid import FlowSet
 from repro.util import KiB, MiB
 
 
@@ -49,42 +47,42 @@ class Rayleigh(Application):
     def n_iterations(self, P: int) -> int:
         return 8500
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         P = nodes.size
         s = self.scale_factor(P)
 
         per_pair = self.a2a_total_bytes * s / max(P - 1, 1)
-        fl, rounds = alltoallv_flows(
+        fl, rounds = mpi.alltoallv_flows(
             nodes, per_pair, imbalance=0.2, max_partners=64, rng=rng
         )
-        a2a = CollectiveSpec(
+        a2a = mpi.CollectiveSpec(
             op="MPI_Alltoallv",
             flows=fl.scaled(self.a2a_calls_per_iter),
             rounds=rounds * self.a2a_calls_per_iter,
-            traffic_op=TrafficOp.A2A,
+            traffic_op=mpi.TrafficOp.A2A,
             calls=self.a2a_calls_per_iter,
             msg_bytes=self.a2a_total_bytes * s,
             sync="pairwise",
         )
 
-        bfl, brounds = barrier_flows(nodes)
-        barrier = CollectiveSpec(
+        bfl, brounds = mpi.barrier_flows(nodes)
+        barrier = mpi.CollectiveSpec(
             op="MPI_Barrier",
             flows=bfl.scaled(self.barriers_per_iter),
             rounds=brounds * self.barriers_per_iter,
-            traffic_op=TrafficOp.P2P,
+            traffic_op=mpi.TrafficOp.P2P,
             calls=self.barriers_per_iter,
         )
 
         # staging pipeline: blocking sends up the radial decomposition
-        ring = FlowSet(
+        ring = network.FlowSet(
             nodes,
             np.roll(nodes, -1),
             np.full(P, self.send_bytes * s * self.sends_per_iter),
             np.zeros(P, dtype=np.int64),
         )
-        p2p = P2PSpec(
+        p2p = mpi.P2PSpec(
             flows=ring,
             exposed_messages=float(self.sends_per_iter),
             wait_op="MPI_Send",
@@ -95,13 +93,13 @@ class Rayleigh(Application):
         # barriers run between transposes against a drained network, not
         # inside the alltoallv burst
         return [
-            Phase(
+            mpi.Phase(
                 name="spectral_transpose",
                 compute_time=self.compute_per_iter * s,
                 p2p=p2p,
                 collectives=[a2a],
             ),
-            Phase(
+            mpi.Phase(
                 name="sync",
                 compute_time=0.0,
                 collectives=[barrier],

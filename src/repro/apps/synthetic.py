@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import mpi, network
 from repro.apps.base import Application, random_pair_flows
-from repro.mpi.collectives import allreduce_flows
-from repro.mpi.patterns import CollectiveSpec, P2PSpec, Phase
-from repro.network.fluid import FlowSet
 from repro.util import MiB
 
 
@@ -35,17 +33,17 @@ class LatencyBound(Application):
     def n_iterations(self, P: int) -> int:
         return 1000
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
-        fl, rounds = allreduce_flows(nodes, 8.0)
-        coll = CollectiveSpec(
+        fl, rounds = mpi.allreduce_flows(nodes, 8.0)
+        coll = mpi.CollectiveSpec(
             op="MPI_Allreduce",
             flows=fl.scaled(self.allreduces_per_iter),
             rounds=rounds * self.allreduces_per_iter,
             calls=self.allreduces_per_iter,
         )
         return [
-            Phase(
+            mpi.Phase(
                 name="allreduce_storm",
                 compute_time=self.compute_per_iter * self.scale_factor(nodes.size),
                 collectives=[coll],
@@ -66,17 +64,17 @@ class BisectionBound(Application):
     def n_iterations(self, P: int) -> int:
         return 500
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         fl = random_pair_flows(nodes, self.partners, self.msg_bytes * self.scale_factor(nodes.size), rng)
-        p2p = P2PSpec(
+        p2p = mpi.P2PSpec(
             flows=fl,
             exposed_messages=0.0,
             wait_op="MPI_Wait",
             messages_per_rank=float(self.partners),
         )
         return [
-            Phase(
+            mpi.Phase(
                 name="permutation_stream",
                 compute_time=self.compute_per_iter * self.scale_factor(nodes.size),
                 p2p=p2p,
@@ -96,7 +94,7 @@ class InjectionBound(Application):
     def n_iterations(self, P: int) -> int:
         return 500
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
         P = nodes.size
         # pair adjacent ranks (typically the same or a neighboring
@@ -107,15 +105,15 @@ class InjectionBound(Application):
         keep = partner != np.arange(P)
         src = nodes[np.arange(P)[keep]]
         dst = nodes[partner[keep]]
-        fl = FlowSet(
+        fl = network.FlowSet(
             src,
             dst,
             np.full(int(keep.sum()), self.msg_bytes * self.scale_factor(P)),
             np.zeros(int(keep.sum()), dtype=np.int64),
         )
-        p2p = P2PSpec(flows=fl, exposed_messages=0.0, wait_op="MPI_Wait", messages_per_rank=1.0)
+        p2p = mpi.P2PSpec(flows=fl, exposed_messages=0.0, wait_op="MPI_Wait", messages_per_rank=1.0)
         return [
-            Phase(
+            mpi.Phase(
                 name="nic_stream",
                 compute_time=self.compute_per_iter * self.scale_factor(P),
                 p2p=p2p,
@@ -134,12 +132,12 @@ class ComputeBound(Application):
     def n_iterations(self, P: int) -> int:
         return 1000
 
-    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[Phase]:
+    def phases(self, nodes: np.ndarray, rng: np.random.Generator) -> list[mpi.Phase]:
         nodes = np.asarray(nodes, dtype=np.int64)
-        fl, rounds = allreduce_flows(nodes, 8.0)
-        coll = CollectiveSpec(op="MPI_Allreduce", flows=fl, rounds=rounds, calls=1.0)
+        fl, rounds = mpi.allreduce_flows(nodes, 8.0)
+        coll = mpi.CollectiveSpec(op="MPI_Allreduce", flows=fl, rounds=rounds, calls=1.0)
         return [
-            Phase(
+            mpi.Phase(
                 name="compute",
                 compute_time=self.compute_per_iter * self.scale_factor(nodes.size),
                 collectives=[coll],

@@ -705,7 +705,9 @@ def _follow(args, path, fold: CampaignProgress):
 
 
 def _report_follow(args, path: Path) -> int:
-    """``report --follow``: fold each new event as the trace grows."""
+    """``report --follow``: fold each new event as the trace grows, until
+    the campaign has ended and one more poll brings nothing new (a trace
+    may hold several campaigns in a row, as ``calibrate``'s does)."""
     from repro.telemetry.report import format_summary
     from repro.telemetry.stream import CampaignProgress
 
@@ -717,18 +719,19 @@ def _report_follow(args, path: Path) -> int:
                 print("-" * 64, flush=True)
             except BrokenPipeError:
                 return 0  # downstream pager/head closed the pipe
-            if fold.ended_at is not None:
-                return 0
+        elif fold.ended_at is not None:
+            return 0
     return 0
 
 
 def cmd_top(args) -> int:
-    """Live campaign progress from a trace another process is writing."""
+    """Live campaign progress from a trace another process is writing;
+    ends like ``report --follow``, on a quiet poll after a campaign end."""
     from repro.telemetry.stream import CampaignProgress
     from repro.telemetry.top import heartbeat_ages, render_top
 
     prog = CampaignProgress()
-    for _ in _follow(args, args.trace_path, prog):
+    for fresh in _follow(args, args.trace_path, prog):
         hb_dir = args.heartbeats or prog.heartbeat_dir
         frame = render_top(prog.snapshot(), heartbeats=heartbeat_ages(hb_dir))
         if args.once:
@@ -736,7 +739,7 @@ def cmd_top(args) -> int:
             return 0
         sys.stdout.write("\x1b[2J\x1b[H" + frame)  # clear screen, home
         sys.stdout.flush()
-        if prog.ended_at is not None:
+        if prog.ended_at is not None and not fresh:
             return 0
     return 0
 

@@ -20,31 +20,45 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+# the engine packages resolve a name on first read (repro.util.lazy), so
+# campaign identity (configs, records, fingerprints) loads no engine
+from repro import mpi, network, scheduler
 from repro.apps.base import Application
 from repro.core import checkpoint as ckpt
 from repro.core.biases import AD0, AD3, RoutingMode
 from repro.core.metrics import SampleStats, remove_outliers
 from repro.faults.errors import NetworkPartitionedError
-from repro.guard.context import RunGuard, use_guard
 from repro.guard.errors import InvariantViolation, RunTimeoutError
 from repro.guard.policy import GuardPolicy
 from repro.monitoring.autoperf import AutoPerf, AutoPerfReport
-from repro.mpi.env import RoutingEnv
-from repro.mpi.patterns import Phase, TrafficOp
 from repro.network.counters import CounterBank
-from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.scheduler.placement import groups_spanned, make_placement
 from repro.telemetry import MultiTraceWriter, RingTraceWriter, Telemetry
 from repro.topology.dragonfly import DragonflyTopology
 from repro.util import check_nonnegative, check_positive, check_unique, derive_rng
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
+    from repro.guard.context import RunGuard
     from repro.telemetry.series import CadenceRecorder, CounterSeries
 
 #: fixed software overhead charged per posted message (MPI_Isend etc.)
 POST_OVERHEAD = 0.4e-6
+
+
+def load_engine() -> None:
+    """Import the whole run path now: the fluid solver and its path
+    tables, the MPI patterns and the placements.  A run loads them where
+    it first needs them; a process about to fork workers, or to wait for
+    tasks, loads them here up front."""
+    import repro.mpi.collectives  # noqa: F401  (the patterns and the solver)
+    import repro.mpi.env  # noqa: F401
+    import repro.scheduler.placement  # noqa: F401
+
+
+def solve_fluid(*args, **kwargs) -> network.FluidResult:
+    """:func:`repro.network.fluid.solve_fluid`; every phase of a run is
+    solved through this name, so a test can swap the solver here."""
+    return network.solve_fluid(*args, **kwargs)
 
 
 def mask_endpoint_background(
@@ -68,26 +82,28 @@ def mask_endpoint_background(
 class PhaseTiming:
     """Resolved wall-clock pieces of one phase (per iteration)."""
 
-    phase: Phase
+    phase: mpi.Phase
     comm_time: float
     op_times: dict[str, float]
     op_calls: dict[str, float]
     op_bytes: dict[str, float]
-    result: FluidResult
+    result: network.FluidResult
 
 
-def phase_slices(phase: Phase, base_class: int = 0) -> tuple[FlowSet, list[tuple[str, int, int]]]:
+def phase_slices(
+    phase: mpi.Phase, base_class: int = 0
+) -> tuple[network.FlowSet, list[tuple[str, int, int]]]:
     """Lower a phase to (flows, slices) with traffic classes offset.
 
     ``base_class`` offsets the TrafficOp class indices, so multiple jobs'
     phases can be concatenated into one joint solve (each job owning a
     (p2p, a2a) class pair).  Slice tags are ``"p2p"`` / ``"coll<i>"``.
     """
-    parts: list[FlowSet] = []
+    parts: list[network.FlowSet] = []
     slices: list[tuple[str, int, int]] = []
     cursor = 0
     if phase.p2p is not None and phase.p2p.flows.n:
-        fl = phase.p2p.flows.with_class(base_class + int(TrafficOp.P2P))
+        fl = phase.p2p.flows.with_class(base_class + int(mpi.TrafficOp.P2P))
         parts.append(fl)
         slices.append(("p2p", cursor, cursor + fl.n))
         cursor += fl.n
@@ -98,12 +114,12 @@ def phase_slices(phase: Phase, base_class: int = 0) -> tuple[FlowSet, list[tuple
         parts.append(fl)
         slices.append((f"coll{i}", cursor, cursor + fl.n))
         cursor += fl.n
-    return FlowSet.concat(parts), slices
+    return network.FlowSet.concat(parts), slices
 
 
 def phase_times_from_result(
-    phase: Phase,
-    res: FluidResult,
+    phase: mpi.Phase,
+    res: network.FluidResult,
     slices: list[tuple[str, int, int]],
     *,
     offset: int = 0,
@@ -197,12 +213,12 @@ def phase_times_from_result(
 
 def resolve_phase(
     top: DragonflyTopology,
-    phase: Phase,
-    env: RoutingEnv,
+    phase: mpi.Phase,
+    env: mpi.RoutingEnv,
     *,
     background_util: np.ndarray | None,
     rng: np.random.Generator,
-    params: FluidParams | None = None,
+    params: network.FluidParams | None = None,
     telemetry: Telemetry | None = None,
 ) -> PhaseTiming:
     """Solve one phase and convert the equilibrium into MPI-op times."""
@@ -284,11 +300,11 @@ def run_app_once(
     top: DragonflyTopology,
     app: Application,
     nodes: np.ndarray,
-    env: RoutingEnv,
+    env: mpi.RoutingEnv,
     *,
     background_util: np.ndarray | None = None,
     rng: np.random.Generator,
-    params: FluidParams | None = None,
+    params: network.FluidParams | None = None,
     collect_counters: bool = True,
     telemetry: Telemetry | None = None,
     series_recorder: CadenceRecorder | None = None,
@@ -374,7 +390,7 @@ class CampaignConfig:
     seed: int = 2021
     scenario_pool: int = 12
     uniform_env: bool = True  # set both routing env vars to the mode
-    params: FluidParams | None = None
+    params: network.FluidParams | None = None
     #: degraded-network state the whole campaign runs under (an empty
     #: schedule is a strict no-op: byte-identical results)
     faults: FaultSchedule | None = None
@@ -466,7 +482,7 @@ def sample_slot(
     follow it in :func:`sample_draws`.
     """
     sample_rng = derive_rng(cfg.seed, cfg.app.name, cfg.n_nodes, cfg.placement, i)
-    nodes = make_placement(cfg.placement, top, cfg.n_nodes, sample_rng)
+    nodes = scheduler.make_placement(cfg.placement, top, cfg.n_nodes, sample_rng)
     slot = None
     if cfg.background == "production":
         size = cfg.scenario_pool if pool_size is None else pool_size
@@ -482,9 +498,11 @@ def drawn_slots(top: DragonflyTopology, cfg: CampaignConfig) -> set[int]:
 def resolve_scenarios(
     top: DragonflyTopology,
     cfg: CampaignConfig,
-    background_model: BackgroundModel | None,
-    scenarios: list[BackgroundScenario | None] | None,
-) -> tuple[BackgroundModel | None, list[BackgroundScenario | None] | None]:
+    background_model: scheduler.BackgroundModel | None,
+    scenarios: list[scheduler.BackgroundScenario | None] | None,
+) -> tuple[
+    scheduler.BackgroundModel | None, list[scheduler.BackgroundScenario | None] | None
+]:
     """The ``(model, scenario pool)`` a campaign samples its background from.
 
     Pure function of ``(top, cfg)`` when no explicit model/pool is given
@@ -494,7 +512,7 @@ def resolve_scenarios(
     ``None``.  An explicit pool is used as given.
     """
     if cfg.background == "production":
-        bm = background_model or BackgroundModel(top)
+        bm = background_model or scheduler.BackgroundModel(top)
         if scenarios is None:
             pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
             scenarios = bm.build_pool(
@@ -513,8 +531,8 @@ def sample_draws(
     top: DragonflyTopology,
     cfg: CampaignConfig,
     i: int,
-    bm: BackgroundModel | None,
-    scenarios: list[BackgroundScenario | None] | None,
+    bm: scheduler.BackgroundModel | None,
+    scenarios: list[scheduler.BackgroundScenario | None] | None,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Per-sample shared draws (paired across modes): placement, background.
 
@@ -566,8 +584,8 @@ class CampaignBackground:
         self,
         top: DragonflyTopology,
         cfg: CampaignConfig,
-        background_model: BackgroundModel | None = None,
-        scenarios: list[BackgroundScenario] | None = None,
+        background_model: scheduler.BackgroundModel | None = None,
+        scenarios: list[scheduler.BackgroundScenario] | None = None,
     ) -> None:
         if cfg.background not in ("production", "isolated"):
             raise ValueError(f"unknown background kind {cfg.background!r}")
@@ -605,7 +623,7 @@ class CampaignBackground:
         nodes, _, intensity = self.draws(sample)
         routing = next(m for m in self.cfg.modes if m.name == mode)
         return _error_record(
-            self.cfg, routing, sample, groups_spanned(self.top, nodes),
+            self.cfg, routing, sample, scheduler.groups_spanned(self.top, nodes),
             intensity, exc, attempts,
         )
 
@@ -672,8 +690,10 @@ def execute_run(
     failures are deterministic, so they are never retried — they become
     error-status records (plus a diagnostics bundle when configured).
     """
+    from repro.guard.context import RunGuard, use_guard
+
     app = cfg.app
-    env = RoutingEnv.uniform(mode) if cfg.uniform_env else RoutingEnv(p2p_mode=mode)
+    env = mpi.RoutingEnv.uniform(mode) if cfg.uniform_env else mpi.RoutingEnv(p2p_mode=mode)
     policy = cfg.guard if (cfg.guard is not None and cfg.guard.active) else None
     label = f"{app.name}-{mode.name}-s{i}"
     t0 = time.perf_counter() if tel.enabled else 0.0
@@ -724,13 +744,13 @@ def execute_run(
         except NetworkPartitionedError as exc:
             # deterministic: retrying cannot help
             rec = _error_record(
-                cfg, mode, i, groups_spanned(top, nodes), intensity, exc, attempt
+                cfg, mode, i, scheduler.groups_spanned(top, nodes), intensity, exc, attempt
             )
         except (RunTimeoutError, InvariantViolation) as exc:
             # budget exhaustion and broken conservation laws are
             # deterministic too: isolate, bundle, never retry
             rec = _error_record(
-                cfg, mode, i, groups_spanned(top, nodes), intensity, exc, attempt
+                cfg, mode, i, scheduler.groups_spanned(top, nodes), intensity, exc, attempt
             )
             _write_guard_bundle(
                 top, cfg, policy, guard, ring, label, i, mode.name, attempt, exc, tel
@@ -741,7 +761,7 @@ def execute_run(
                     time.sleep(cfg.retry_backoff * attempt)
                 continue
             rec = _error_record(
-                cfg, mode, i, groups_spanned(top, nodes), intensity, exc, attempt
+                cfg, mode, i, scheduler.groups_spanned(top, nodes), intensity, exc, attempt
             )
         else:
             diag = solver_diagnostics(timings)
@@ -754,7 +774,7 @@ def execute_run(
                 mode=mode.name,
                 n_nodes=cfg.n_nodes,
                 placement=cfg.placement,
-                groups=groups_spanned(top, nodes),
+                groups=scheduler.groups_spanned(top, nodes),
                 runtime=runtime,
                 report=report,
                 background_intensity=intensity,
@@ -850,8 +870,8 @@ def run_campaign(
     top: DragonflyTopology,
     cfg: CampaignConfig,
     *,
-    background_model: BackgroundModel | None = None,
-    scenarios: list[BackgroundScenario] | None = None,
+    background_model: scheduler.BackgroundModel | None = None,
+    scenarios: list[scheduler.BackgroundScenario] | None = None,
     telemetry: Telemetry | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,

@@ -49,7 +49,7 @@ import itertools
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Iterator, Protocol
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
@@ -61,10 +61,10 @@ from repro.core.experiment import (
     emit_campaign_end,
     emit_campaign_start,
     execute_run,
+    load_engine,
     prepare_checkpoint,
 )
 from repro.guard.policy import GuardPolicy
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.telemetry import (
     MemoryTraceWriter,
     MetricsRegistry,
@@ -73,6 +73,9 @@ from repro.telemetry import (
     resolve_telemetry,
 )
 from repro.topology.dragonfly import DragonflyTopology
+
+if TYPE_CHECKING:
+    from repro.scheduler.background import BackgroundModel, BackgroundScenario
 
 RESUME, HIT, MISS = "resume", "hit", "miss"
 
@@ -206,11 +209,12 @@ class CampaignJob:
         return guard if guard is not None and guard.active else None
 
     def prepare(self) -> None:
-        """Build the background pool, so every forked worker shares it."""
+        """Build the background pool and load the run path, so every
+        forked worker shares them and imports nothing."""
         self.background.build()
-        # the pool build loaded the engine; numpy loads numpy.ma on the
-        # first np.unique, which the pool build does not call, so load
-        # it here once rather than in every forked worker
+        load_engine()
+        # numpy loads numpy.ma on the first np.unique, which the pool
+        # build does not call
         import numpy.ma  # noqa: F401
 
     def execute(self, task: RunTask, tel: Telemetry) -> RunRecord:

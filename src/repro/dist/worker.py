@@ -41,7 +41,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro.chaos.failpoints import failpoint
-from repro.core.experiment import CampaignBackground
+from repro.core.experiment import CampaignBackground, load_engine
 from repro.core.pipeline import CampaignJob, run_task
 from repro.dist.manifest import manifest_series, manifest_to_campaign
 from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue, result_payload
@@ -170,6 +170,8 @@ class DistWorker:
             series=manifest_series(manifest),
         )
         self._job = CampaignJob(top, cfg, CampaignBackground(top, cfg), tel, wire=True)
+        # every task runs the engine: load it before the first lease
+        load_engine()
         self._tasks = self.queue.manifest_tasks(manifest)
         self.queue.ttl = float(manifest.get("ttl", self.queue.ttl))
         self.queue.retry_budget = int(

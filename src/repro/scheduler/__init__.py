@@ -18,7 +18,7 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".placement": "compact_placement dispersed_placement random_placement "
-    "production_placement groups_spanned FreeNodePool",
+    "production_placement make_placement groups_spanned FreeNodePool",
     ".workload": "WorkloadModel JobSizeMix",
     ".jobs": "Job JobLog",
     ".background": "BackgroundModel BackgroundScenario",

@@ -25,14 +25,17 @@ on the next request (the record it produces is still deterministic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import CampaignConfig, RunRecord, campaign_fingerprint
 from repro.core.pipeline import RESUME, Plan, run_pipeline, select_backend
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.service.store import RunRecordStore, entry_key
 from repro.telemetry import Telemetry
 from repro.topology.dragonfly import DragonflyTopology
+
+if TYPE_CHECKING:
+    from repro.scheduler.background import BackgroundModel, BackgroundScenario
 
 
 @dataclass

@@ -62,6 +62,17 @@ def _cfg():
     )
 
 
+# The 4-group ``mini`` pool places no jobs, so solves are counted on 8
+# groups, where ``_cfg8()``'s drawn slots (also {1, 2}) hold jobs.
+@pytest.fixture(scope="module")
+def top8():
+    return mini(n_groups=8)
+
+
+def _cfg8():
+    return replace(_cfg(), seed=2)
+
+
 def _dicts(records):
     return [ckpt.record_to_dict(r) for r in records]
 
@@ -73,10 +84,14 @@ class CallLog:
     def __init__(self, path: Path) -> None:
         self.path = path
 
-    def counts(self) -> Counter:
+    def calls(self) -> list[list[str]]:
+        """One ``[pid, note]`` per call."""
         if not self.path.exists():
-            return Counter()
-        return Counter(int(pid) for pid in self.path.read_text().split())
+            return []
+        return [line.split(" ") for line in self.path.read_text().splitlines()]
+
+    def counts(self) -> Counter:
+        return Counter(int(pid) for pid, _ in self.calls())
 
     def total(self) -> int:
         return sum(self.counts().values())
@@ -85,10 +100,10 @@ class CallLog:
         self.path.unlink(missing_ok=True)
 
 
-def _counted(log: CallLog, real):
+def _counted(log: CallLog, real, note=lambda *args: ""):
     def counted(*args, **kwargs):
         with open(log.path, "a") as f:
-            f.write(f"{os.getpid()}\n")
+            f.write(f"{os.getpid()} {note(*args)}\n")
         return real(*args, **kwargs)
 
     return counted
@@ -105,10 +120,17 @@ def builds(tmp_path, monkeypatch):
 
 @pytest.fixture
 def solves(tmp_path, monkeypatch):
-    """Fluid solves of pool scenarios (the pool module's ``solve_fluid``)."""
+    """Fluid solves of pool scenarios (the pool module's ``solve_fluid``),
+    each noted with its flow count."""
     log = CallLog(tmp_path / "solves.log")
-    monkeypatch.setattr(background, "solve_fluid", _counted(log, background.solve_fluid))
+    monkeypatch.setattr(background, "solve_fluid", _counted(
+        log, background.solve_fluid, note=lambda top, flows, *rest: flows.n
+    ))
     return log
+
+
+def _all_have_flows(solves: CallLog) -> bool:
+    return all(int(n) > 0 for _, n in solves.calls())
 
 
 @pytest.fixture(scope="module")
@@ -119,24 +141,30 @@ def serial(top, tmp_path_factory):
     return _dicts(records), path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def serial8(top8):
+    """Records of the plain serial campaign on 8 groups."""
+    return _dicts(run_campaign(top8, _cfg8(), jobs=1))
+
+
 class TestPoolBuiltOnlyWhenNeeded:
     def test_cold_serial_builds_the_pool_once(self, top, builds, serial):
         records = run_campaign(top, _cfg(), jobs=1)
         assert _dicts(records) == serial[0]
         assert builds.counts() == {os.getpid(): POOL}
 
-    def test_cold_serial_solves_only_the_drawn_set(self, top, solves, serial):
-        assert drawn_slots(top, _cfg()) == DRAWN
-        records = run_campaign(top, _cfg(), jobs=1)
-        assert _dicts(records) == serial[0]
+    def test_cold_serial_solves_only_the_drawn_set(self, top8, solves, serial8):
+        assert drawn_slots(top8, _cfg8()) == DRAWN
+        solves.reset()
+        records = run_campaign(top8, _cfg8(), jobs=1)
+        assert _dicts(records) == serial8
         assert solves.counts() == {os.getpid(): len(DRAWN)}
+        assert _all_have_flows(solves)
 
-    def test_cold_pool_build_skips_unread_path_tables(self, solves):
+    def test_cold_pool_build_skips_unread_path_tables(self, top8, solves):
         # a drawn slot builds its minimal and Valiant tables; an unread
-        # slot only makes their draws.  ``_cfg()``'s mini pool places no
-        # jobs, so this pool is on 8 groups, where every slot has flows.
-        top8 = mini(n_groups=8)
-        cfg = replace(_cfg(), seed=2)
+        # slot only makes their draws (every slot of this pool has flows)
+        cfg = _cfg8()
         drawn = drawn_slots(top8, cfg)
         assert drawn == {1, 2}
         full = BackgroundModel(top8).build_pool(
@@ -149,6 +177,7 @@ class TestPoolBuiltOnlyWhenNeeded:
         CampaignBackground(top8, cfg).build()
         assert path_cache_stats()["misses"] - before == 2 * len(drawn)
         assert solves.counts() == {os.getpid(): len(drawn)}
+        assert _all_have_flows(solves)
 
     def test_fully_resumed_serial_builds_nothing(
         self, top, builds, serial, tmp_path
@@ -191,20 +220,23 @@ class TestPoolBuiltOnlyWhenNeeded:
         assert ck.read_bytes() == serial[1]
 
     def test_fork_pool_builds_in_the_parent_only_when_forking(
-        self, top, builds, solves, serial, tmp_path
+        self, top8, builds, solves, serial8, tmp_path
     ):
         ck = tmp_path / "ck.jsonl"
-        records = run_campaign(top, _cfg(), jobs=2, checkpoint_path=str(ck))
-        assert _dicts(records) == serial[0]
+        builds.reset()
+        solves.reset()
+        records = run_campaign(top8, _cfg8(), jobs=2, checkpoint_path=str(ck))
+        assert _dicts(records) == serial8
         assert builds.counts() == {os.getpid(): POOL}
         # the parent solves the drawn set once; its children solve none
         assert solves.counts() == {os.getpid(): len(DRAWN)}
+        assert _all_have_flows(solves)
         # nothing left to fork for: no pool at all
         builds.reset()
         records = run_campaign(
-            top, _cfg(), jobs=2, checkpoint_path=str(ck), resume=True
+            top8, _cfg8(), jobs=2, checkpoint_path=str(ck), resume=True
         )
-        assert _dicts(records) == serial[0]
+        assert _dicts(records) == serial8
         assert builds.total() == 0
 
     def test_queue_coordinator_builds_nothing_when_the_worker_commits(
@@ -288,7 +320,18 @@ class TestModuleSets:
     #: the commands as written: $REPRO_JOBS > 1 would select the fork pool
     ENV = {k: v for k, v in os.environ.items() if k != "REPRO_JOBS"}
 
-    SETUP_UNUSED = (
+    #: what only a run executes: the solver, path tables, scheduler, MPI
+    #: patterns, and every app but the campaign's own (MILC)
+    ENGINE = (
+        "repro.network.fluid", "repro.topology.paths", "repro.topology.pathcache",
+        "repro.guard.invariants", "repro.scheduler.background",
+        "repro.scheduler.workload", "repro.scheduler.placement",
+        "repro.scheduler.jobs", "repro.mpi.patterns", "repro.mpi.collectives",
+        "repro.mpi.env", "repro.apps.hacc", "repro.apps.nek5000",
+        "repro.apps.qbox", "repro.apps.rayleigh", "repro.apps.synthetic",
+    )
+
+    SETUP_UNUSED = ENGINE + (
         "http.server", "ssl", "scipy", "repro.network.packet_sim",
         "repro.service", "repro.dist", "repro.parallel",
         "repro.telemetry.exporter", "repro.telemetry.report",
@@ -307,6 +350,41 @@ class TestModuleSets:
         imported = _imported(proc)
         assert {"repro.cli", "repro.core.experiment", "numpy"} <= imported
         assert _loaded(imported, self.SETUP_UNUSED) == []
+
+    def test_cached_replay_loads_no_engine(self, tmp_path):
+        compare = ["-m", "repro", "compare", "--system", "mini", "--nodes", "32",
+                   "--samples", "2", "--seed", "11", "--cache", str(tmp_path / "store")]
+        fill = _python(*compare, env=self.ENV)
+        assert "0 hit(s)  4 miss(es)" in fill.stdout, fill.stderr
+        proc = _python(
+            "-X", "importtime", *compare, "--checkpoint", str(tmp_path / "ck.jsonl"),
+            env=self.ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "4 hit(s)  0 miss(es)" in proc.stdout
+        imported = _imported(proc)
+        assert {"repro.service.executor", "repro.apps.milc"} <= imported
+        assert _loaded(imported, self.ENGINE) == []
+
+    def test_queue_coordinator_loads_no_engine(self, tmp_path):
+        qdir = str(tmp_path / "queue")
+        env = {**self.ENV, "PYTHONPATH": str(SRC)}
+        coordinator = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro", "compare", "--system",
+             "mini", "--nodes", "32", "--samples", "1", "--seed", "11", "--queue", qdir],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            worker = _python("-m", "repro", "worker", "--queue", qdir, "--poll", "0.05",
+                             env=self.ENV)
+        finally:
+            out, err = coordinator.communicate(timeout=120)
+        assert worker.returncode == 0, worker.stderr
+        assert "committed=2" in worker.stdout  # the worker ran every run
+        assert coordinator.returncode == 0, err
+        imported = _imported(subprocess.CompletedProcess(coordinator.args, 0, out, err))
+        assert "repro.dist.coordinator" in imported
+        assert _loaded(imported, self.ENGINE) == []
 
     def test_report_skips_numpy(self, tmp_path):
         trace = tmp_path / "t.jsonl"

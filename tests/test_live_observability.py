@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.telemetry.stream import TraceTail
 from tests.test_telemetry import _scrape_openmetrics
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -270,6 +272,67 @@ class TestTopCommand:
 
 
 @pytest.mark.slow
+def _campaign(app: str, ts: float) -> str:
+    events = [
+        {"ev": "campaign.start", "ts": ts, "app": app, "n_nodes": 64,
+         "modes": ["AD0"], "samples": 1},
+        {"ev": "campaign.sample", "ts": ts + 1, "status": "ok"},
+        {"ev": "campaign.end", "ts": ts + 2},
+    ]
+    return "".join(json.dumps(e) + "\n" for e in events)
+
+
+class TestFollowAcrossCampaigns:
+    """A trace may hold campaigns in a row (``calibrate`` traces one per
+    probe).  A follower that has seen one campaign end keeps polling
+    until a whole interval brings nothing new, so a second campaign that
+    starts within the interval is followed to its own end."""
+
+    def _follow(self, tmp_path, monkeypatch, argv):
+        p = tmp_path / "t.jsonl"
+        p.write_text(_campaign("MILC", 1.0))
+        seen_end = threading.Event()
+        real = TraceTail.poll
+
+        def poll(tail):
+            fresh = real(tail)
+            if any(e.get("ev") == "campaign.end" for e in fresh):
+                seen_end.set()
+            return fresh
+
+        def write_second():
+            # appended as soon as the follower has polled the first end,
+            # well within its one-second interval
+            if seen_end.wait(30):
+                with open(p, "a") as f:
+                    f.write(_campaign("HACC", 10.0))
+
+        monkeypatch.setattr(TraceTail, "poll", poll)
+        writer = threading.Thread(target=write_second)
+        writer.start()
+        t0 = time.monotonic()
+        try:
+            rc = main([argv[0], str(p), *argv[1:], "--interval", "1.0", "--max-seconds", "30"])
+        finally:
+            seen_end.set()
+            writer.join()
+        assert rc == 0
+        assert time.monotonic() - t0 < 20  # a quiet poll ended it, not the deadline
+
+    def test_report_follow_prints_the_second_campaigns_end(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._follow(tmp_path, monkeypatch, ["report", "--follow"])
+        frames = capsys.readouterr().out.split("-" * 64 + "\n")
+        assert re.search(r"^  campaign\.end +2$", frames[-2], re.M), frames[-2]
+
+    def test_top_shows_the_second_campaign_finished(self, tmp_path, monkeypatch, capsys):
+        self._follow(tmp_path, monkeypatch, ["top"])
+        last = capsys.readouterr().out.split("\x1b[2J\x1b[H")[-1]
+        assert last.startswith("campaign HACC x64"), last
+        assert "[finished]" in last.splitlines()[0]
+
+
 class TestServeMetricsSidecar:
     def test_type_counters_come_from_the_fold(self):
         from repro.cli import _fold_event_metrics, _fold_progress_metrics
