@@ -6,6 +6,10 @@ the paper-shaped rows/series, and writes them under
 ``benchmarks/results/`` so they survive pytest's stdout capture.  The
 ``benchmark`` fixture times the harness run itself.
 
+Every campaign is a plain :class:`CampaignConfig` whose background pool
+comes from the config alone, so each one is the CLI's ``repro compare``
+with the same flags and writes the same records.
+
 Scale: campaign sample counts default to ~1/4 of the paper's (which used
 30-190 runs per configuration); pass ``REPRO_BENCH_SCALE`` > 1 in the
 environment to run closer to paper size.
@@ -55,15 +59,13 @@ def cori_top():
     return cori()
 
 
-@functools.lru_cache(maxsize=4)
-def background_pool(system: str = "theta", reserve: int = 512, n: int = 8):
-    """A shared pool of production background scenarios."""
-    top = theta_top() if system == "theta" else cori_top()
-    bm = BackgroundModel(top)
-    scenarios = bm.build_pool(
-        n, derive_rng(SEED, "bench-pool", system, reserve), reserve_nodes=reserve
+@functools.lru_cache(maxsize=1)
+def background_scenario():
+    """One production background scenario on Theta, for the ablations
+    that drive a single scenario by hand rather than run a campaign."""
+    return BackgroundModel(theta_top()).build_scenario(
+        derive_rng(SEED, "bench-pool", "theta", 512), reserve_nodes=512
     )
-    return bm, scenarios
 
 
 _campaign_cache: dict = {}
@@ -105,13 +107,7 @@ def cached_campaign(
             background=background,
             seed=seed,
         )
-        if background == "production":
-            bm, scenarios = background_pool(system, reserve=max(512, n_nodes))
-            _campaign_cache[key] = run_campaign(
-                top, cfg, background_model=bm, scenarios=scenarios
-            )
-        else:
-            _campaign_cache[key] = run_campaign(top, cfg)
+        _campaign_cache[key] = run_campaign(top, cfg)
     return _campaign_cache[key]
 
 

@@ -10,7 +10,7 @@ with KNL-class polling overhead.
 
 import numpy as np
 
-from _harness import background_pool, fmt_table, report, theta_top
+from _harness import background_scenario, fmt_table, report, theta_top
 from repro.apps import MILC
 from repro.core.awr import AwrConfig, run_app_awr, run_app_static
 from repro.core.biases import AD0, AD3
@@ -21,8 +21,7 @@ from repro.util import derive_rng
 
 def run_ablation():
     top = theta_top()
-    bm, scenarios = background_pool("theta", reserve=512)
-    scenario = scenarios[0]
+    scenario = background_scenario()
     nodes = production_placement(top, 256, derive_rng(2, "awr-place"))
     rng_i = derive_rng(3, "awr-drift")
     windows = [

@@ -6,7 +6,7 @@ MILC and for HACC: MILC's AD3 advantage should *grow* with congestion,
 while HACC's AD3 penalty persists (its bisection bottleneck is its own).
 """
 
-from _harness import background_pool, fmt_table, report, theta_top
+from _harness import background_scenario, fmt_table, report, theta_top
 from repro.apps import HACC, MILC
 from repro.core.experiment import mask_endpoint_background, run_app_once
 from repro.mpi.env import RoutingEnv
@@ -17,8 +17,7 @@ from repro.util import derive_rng
 
 def run_ablation():
     top = theta_top()
-    bm, scenarios = background_pool("theta", reserve=512)
-    scenario = scenarios[0]
+    scenario = background_scenario()
     nodes = production_placement(top, 256, derive_rng(4, "abl-bg"))
     out = {}
     for cls in (MILC, HACC):

@@ -7,7 +7,7 @@ should improve monotonically-ish with minimal bias for this
 latency-bound app, saturating once the bias is strong enough.
 """
 
-from _harness import background_pool, fmt_table, n_samples, report, theta_top
+from _harness import fmt_table, n_samples, report, theta_top
 from repro.apps import MILC
 from repro.core.biases import custom_bias
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
@@ -15,12 +15,11 @@ from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
 
 def run_sweep():
     top = theta_top()
-    bm, scenarios = background_pool("theta", reserve=512)
     modes = tuple(
         custom_bias(shift, add) for shift in (0, 1, 2, 3) for add in (0, 4)
     )
     cfg = CampaignConfig(app=MILC(), samples=n_samples(6), modes=modes, seed=555)
-    recs = run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+    recs = run_campaign(top, cfg)
     return stats_by_mode(recs)
 
 

@@ -13,9 +13,7 @@ sooner).
 from _harness import fmt_table, n_samples, report
 from repro.apps import HACC, MILC
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
-from repro.scheduler.background import BackgroundModel
 from repro.topology.dragonfly import DragonflyParams, DragonflyTopology
-from repro.util import derive_rng
 
 
 def _system(cables):
@@ -33,13 +31,9 @@ def run_ablation():
     out = {}
     for cables in (12, 4):
         top = _system(cables)
-        bm = BackgroundModel(top)
-        scenarios = bm.build_pool(
-            4, derive_rng(7, "ablation-bisect", cables), reserve_nodes=512
-        )
         for cls in (MILC, HACC):
             cfg = CampaignConfig(app=cls(), samples=n_samples(6), seed=600 + cables)
-            recs = run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+            recs = run_campaign(top, cfg)
             st = stats_by_mode(recs)
             out[(cables, cls.name)] = 100 * (st["AD0"].mean - st["AD3"].mean) / st["AD0"].mean
     return out

@@ -11,21 +11,15 @@ comparison on a Slingshot-generation system.
 from _harness import fmt_table, n_samples, report
 from repro.apps import HACC, MILC
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
-from repro.scheduler.background import BackgroundModel
 from repro.topology.systems import slingshot
-from repro.util import derive_rng
 
 
 def run_ablation():
     top = slingshot()
-    bm = BackgroundModel(top)
-    scenarios = bm.build_pool(
-        4, derive_rng(9, "slingshot-pool"), reserve_nodes=512
-    )
     out = {}
     for cls in (MILC, HACC):
         cfg = CampaignConfig(app=cls(), samples=n_samples(6), seed=990)
-        recs = run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+        recs = run_campaign(top, cfg)
         st = stats_by_mode(recs)
         out[cls.name] = 100 * (st["AD0"].mean - st["AD3"].mean) / st["AD0"].mean
     return top, out

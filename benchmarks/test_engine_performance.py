@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from _harness import RESULTS_DIR, SEED, background_pool, n_samples, theta_top
+from _harness import RESULTS_DIR, SEED, n_samples, theta_top
 from repro.apps import MILC
 from repro.core.biases import AD0, AD1, AD2, AD3
 from repro.core.checkpoint import record_to_dict
@@ -129,9 +129,8 @@ def test_perf_parallel_campaign_speedup():
     from the serial leg are recorded alongside, so regressions can be
     attributed to the solver rather than the dispatcher.  Timed by
     hand rather than through the ``benchmark`` fixture: one round is
-    ~20 s of solver work, and the serial/parallel pair must share a
-    process so the fork-inherited context sees identical pre-built
-    scenarios.
+    ~20 s of solver work.  Each leg builds the campaign's background
+    pool from the config, as every campaign does.
     """
     usable = _usable_cpus()
     if usable < 2:
@@ -139,7 +138,6 @@ def test_perf_parallel_campaign_speedup():
             f"only {usable} usable CPU(s): parallel speedup is not measurable"
         )
     top = theta_top()
-    bm, scenarios = background_pool("theta")
     cfg = CampaignConfig(
         app=MILC(),
         n_nodes=256,
@@ -147,13 +145,12 @@ def test_perf_parallel_campaign_speedup():
         samples=n_samples(24),
         seed=SEED,
     )
-    common = dict(background_model=bm, scenarios=scenarios)
     tel = Telemetry(metrics=MetricsRegistry())
 
     t0 = time.perf_counter()
-    serial = run_campaign(top, cfg, jobs=1, telemetry=tel, **common)
+    serial = run_campaign(top, cfg, jobs=1, telemetry=tel)
     t1 = time.perf_counter()
-    parallel = run_campaign(top, cfg, jobs=4, **common)
+    parallel = run_campaign(top, cfg, jobs=4)
     t2 = time.perf_counter()
 
     assert [record_to_dict(r) for r in parallel] == [

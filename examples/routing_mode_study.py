@@ -16,8 +16,6 @@ from repro import CampaignConfig, recommend, run_campaign, theta
 from repro.apps import PRODUCTION_APPS
 from repro.core.analysis import improvement_table
 from repro.core.variability import format_variability
-from repro.scheduler.background import BackgroundModel
-from repro.util import derive_rng
 
 
 def main() -> None:
@@ -26,20 +24,14 @@ def main() -> None:
     args = parser.parse_args()
 
     top = theta()
-    bm = BackgroundModel(top)
-    scenarios = bm.build_pool(6, derive_rng(2021, "example-pool"), reserve_nodes=512)
 
     records = []
     profiles = {}
     for cls in PRODUCTION_APPS:
         app = cls()
         print(f"running {app.name} ({args.samples} samples per mode) ...")
-        recs = run_campaign(
-            top,
-            CampaignConfig(app=app, samples=args.samples),
-            background_model=bm,
-            scenarios=scenarios,
-        )
+        # the same campaign as `repro compare --app NAME --samples N`
+        recs = run_campaign(top, CampaignConfig(app=app, samples=args.samples))
         records.extend(recs)
         profiles[app.name] = recs[0].report
 

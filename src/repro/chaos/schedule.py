@@ -296,16 +296,3 @@ class ChaosSchedule:
                     f.truncate(size // 2)
         except OSError:
             pass  # the injected EIO is the point; the tear is best-effort
-
-    # ------------------------------------------------------------------
-    def to_env(self, env: dict | None = None) -> dict:
-        """Environment variables reproducing this schedule in a subprocess."""
-        from repro.chaos import failpoints as fp
-
-        out = env if env is not None else {}
-        out[fp.ENV_SPEC] = self.spec or self.describe()
-        out[fp.ENV_SEED] = str(self.seed)
-        out[fp.ENV_EPOCH] = str(self.epoch)
-        if self.log_path is not None:
-            out[fp.ENV_LOG] = str(self.log_path)
-        return out

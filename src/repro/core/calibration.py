@@ -4,8 +4,9 @@ The congestion and policy constants documented in DESIGN.md were tuned
 so the AD0 production baseline lands near the paper's Table II.  This
 module makes that process reproducible and maintainable: it runs a
 compact probe campaign (MILC and HACC, the two apps that anchor the
-result's sign structure), extracts the observables the calibration
-targets, and scores them — so any change to the model can be checked
+result's sign structure; each is the CLI's ``compare`` campaign with the
+same flags), extracts the observables the calibration targets, and
+scores them — so any change to the model can be checked
 against the paper with one call, and constants can be re-derived with
 :func:`sweep_parameter`.
 """
@@ -21,9 +22,7 @@ from repro.apps import HACC, MILC
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
 from repro.network.congestion import CongestionModel
 from repro.network.fluid import FluidParams
-from repro.scheduler.background import BackgroundModel
 from repro.topology.dragonfly import DragonflyTopology
-from repro.util import derive_rng
 from repro.util.validation import UnknownNameError
 
 
@@ -59,20 +58,17 @@ def probe_observables(
 ) -> dict[str, float]:
     """Run the probe campaigns and extract the calibration observables.
 
-    ``jobs`` fans the probe campaigns' runs over worker processes (see
+    At the shipped constants each probe is the CLI's campaign with the
+    same flags (``repro compare --app milc --samples SAMPLES --seed
+    SEED``, and HACC alike), background pool included.  ``jobs`` fans
+    the probe campaigns' runs over worker processes (see
     :func:`repro.core.experiment.run_campaign`); the observables are
     identical for any value.
     """
-    bm = BackgroundModel(top)
-    scenarios = bm.build_pool(
-        6, derive_rng(seed, "calibration-pool"), reserve_nodes=512
-    )
     out: dict[str, float] = {}
     for app_cls, tag in ((MILC, "milc"), (HACC, "hacc")):
         cfg = CampaignConfig(app=app_cls(), samples=samples, seed=seed, params=params)
-        recs = run_campaign(
-            top, cfg, background_model=bm, scenarios=scenarios, jobs=jobs
-        )
+        recs = run_campaign(top, cfg, jobs=jobs)
         st = stats_by_mode(recs)
         out[f"{tag}_ad0_mean_s"] = st["AD0"].mean
         # improvement as the *median paired* delta: sample i of both

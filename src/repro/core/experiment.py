@@ -467,17 +467,13 @@ def _error_record(
 
 
 def sample_slot(
-    top: DragonflyTopology,
-    cfg: CampaignConfig,
-    i: int,
-    pool_size: int | None = None,
+    top: DragonflyTopology, cfg: CampaignConfig, i: int
 ) -> tuple[np.random.Generator, np.ndarray, int | None]:
     """Sample ``i``'s stream, placement, and the pool slot it reads.
 
     The one rule for which background scenario a sample selects: a pure
-    function of ``(top, cfg, i)`` (``pool_size`` defaults to
-    ``cfg.scenario_pool``; a caller-supplied pool passes its own
-    length).  The slot is ``None`` for an isolated campaign.  The stream
+    function of ``(top, cfg, i)``, drawn over ``cfg.scenario_pool``
+    slots.  The slot is ``None`` for an isolated campaign.  The stream
     is returned positioned after the slot draw, for the draws that
     follow it in :func:`sample_draws`.
     """
@@ -485,8 +481,7 @@ def sample_slot(
     nodes = scheduler.make_placement(cfg.placement, top, cfg.n_nodes, sample_rng)
     slot = None
     if cfg.background == "production":
-        size = cfg.scenario_pool if pool_size is None else pool_size
-        slot = int(sample_rng.integers(0, size))
+        slot = int(sample_rng.integers(0, cfg.scenario_pool))
     return sample_rng, nodes, slot
 
 
@@ -496,31 +491,27 @@ def drawn_slots(top: DragonflyTopology, cfg: CampaignConfig) -> set[int]:
 
 
 def resolve_scenarios(
-    top: DragonflyTopology,
-    cfg: CampaignConfig,
-    background_model: scheduler.BackgroundModel | None,
-    scenarios: list[scheduler.BackgroundScenario | None] | None,
+    top: DragonflyTopology, cfg: CampaignConfig
 ) -> tuple[
     scheduler.BackgroundModel | None, list[scheduler.BackgroundScenario | None] | None
 ]:
     """The ``(model, scenario pool)`` a campaign samples its background from.
 
-    Pure function of ``(top, cfg)`` when no explicit model/pool is given
-    (the pool RNG is derived from the campaign seed, and only the slots
-    in :func:`drawn_slots` are solved), so a worker process can rebuild
+    A pure function of ``(top, cfg)``: the pool RNG is derived from the
+    campaign seed, and only the slots in :func:`drawn_slots` are solved,
+    so any process (a ``-j`` child, a queue worker, the service) rebuilds
     the identical pool from the config alone.  The other slots are
-    ``None``.  An explicit pool is used as given.
+    ``None``.  Isolated campaigns have neither model nor pool.
     """
     if cfg.background == "production":
-        bm = background_model or scheduler.BackgroundModel(top)
-        if scenarios is None:
-            pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
-            scenarios = bm.build_pool(
-                cfg.scenario_pool,
-                pool_rng,
-                reserve_nodes=cfg.n_nodes,
-                solve=drawn_slots(top, cfg),
-            )
+        bm = scheduler.BackgroundModel(top)
+        pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
+        scenarios = bm.build_pool(
+            cfg.scenario_pool,
+            pool_rng,
+            reserve_nodes=cfg.n_nodes,
+            solve=drawn_slots(top, cfg),
+        )
         return bm, scenarios
     if cfg.background != "isolated":
         raise ValueError(f"unknown background kind {cfg.background!r}")
@@ -541,8 +532,7 @@ def sample_draws(
     ``i``'s context without replaying samples ``0..i-1``.  Raises
     ``ValueError`` if the sample reads a pool slot that was not solved.
     """
-    pool_size = len(scenarios) if scenarios is not None else None
-    sample_rng, nodes, slot = sample_slot(top, cfg, i, pool_size)
+    sample_rng, nodes, slot = sample_slot(top, cfg, i)
     if cfg.background == "production":
         scenario = scenarios[slot]
         if scenario is None:
@@ -563,11 +553,11 @@ class CampaignBackground:
     Holds the :class:`BackgroundModel` and scenario pool and resolves
     them through :func:`resolve_scenarios` only when a run first needs a
     draw (or :meth:`build` is called), so a campaign whose runs are all
-    resumed or served from a store builds no pool.  The pool comes from
-    its own derived RNG stream, so when it is built cannot change what it
-    holds.  It solves only the :func:`drawn_slots`, to their link field;
-    the other slots build no path table.  Explicit ``background_model`` /
-    ``scenarios`` are used as given.
+    resumed or served from a store builds no pool.  The pool comes only
+    from the config, through its own derived RNG stream, so every process
+    that runs the campaign holds the same one, whenever it is built.  It
+    solves only the :func:`drawn_slots`, to their link field; the other
+    slots build no path table.
 
     Also the campaign's one per-sample draw cache: the modes of a sample
     share its placement and background, so each process keeps the last
@@ -580,28 +570,20 @@ class CampaignBackground:
     #: masked background array)
     DRAW_CACHE_CAP = 4
 
-    def __init__(
-        self,
-        top: DragonflyTopology,
-        cfg: CampaignConfig,
-        background_model: scheduler.BackgroundModel | None = None,
-        scenarios: list[scheduler.BackgroundScenario] | None = None,
-    ) -> None:
+    def __init__(self, top: DragonflyTopology, cfg: CampaignConfig) -> None:
         if cfg.background not in ("production", "isolated"):
             raise ValueError(f"unknown background kind {cfg.background!r}")
         self.top = top
         self.cfg = cfg
-        self.model = background_model
-        self.scenarios = scenarios
+        self.model = None
+        self.scenarios = None
         self.built = False
         self._draws: dict[int, tuple] = {}
 
     def build(self) -> None:
         """Resolve the model and pool now; a no-op once built."""
         if not self.built:
-            self.model, self.scenarios = resolve_scenarios(
-                self.top, self.cfg, self.model, self.scenarios
-            )
+            self.model, self.scenarios = resolve_scenarios(self.top, self.cfg)
             self.built = True
 
     def draws(self, i: int) -> tuple[np.ndarray, np.ndarray | None, float]:
@@ -870,8 +852,6 @@ def run_campaign(
     top: DragonflyTopology,
     cfg: CampaignConfig,
     *,
-    background_model: scheduler.BackgroundModel | None = None,
-    scenarios: list[scheduler.BackgroundScenario] | None = None,
     telemetry: Telemetry | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -904,8 +884,6 @@ def run_campaign(
         top,
         cfg,
         select_backend(jobs, queue_dir),
-        background_model=background_model,
-        scenarios=scenarios,
         telemetry=telemetry,
         checkpoint_path=checkpoint_path,
         resume=resume,

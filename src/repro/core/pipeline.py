@@ -49,7 +49,7 @@ import itertools
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Protocol
+from typing import Any, Iterator, Protocol
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
@@ -73,9 +73,6 @@ from repro.telemetry import (
     resolve_telemetry,
 )
 from repro.topology.dragonfly import DragonflyTopology
-
-if TYPE_CHECKING:
-    from repro.scheduler.background import BackgroundModel, BackgroundScenario
 
 RESUME, HIT, MISS = "resume", "hit", "miss"
 
@@ -404,8 +401,6 @@ def run_pipeline(
     backend: Backend,
     *,
     cache: CacheFilter | None = None,
-    background_model: BackgroundModel | None = None,
-    scenarios: list[BackgroundScenario] | None = None,
     telemetry: Telemetry | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -421,7 +416,7 @@ def run_pipeline(
     start_fields = backend.start_fields if cache is None else cache.start_fields
     emit_campaign_start(tel, cfg, done, **start_fields)
     # the pool is built on the first draw, so only a miss can build it
-    background = CampaignBackground(top, cfg, background_model, scenarios)
+    background = CampaignBackground(top, cfg)
 
     wire = checkpoint_path is not None or cache is not None
     job = CampaignJob(top, cfg, background, tel, checkpoint_path, wire=wire)

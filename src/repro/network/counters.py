@@ -172,16 +172,6 @@ class CounterBank:
             stalls={c: np.where(mask, self._stalls[c], 0.0) for c in TILE_CLASSES},
         )
 
-    def per_tile_ratio(self, cls: str) -> np.ndarray:
-        """Stalls-to-flits ratio per router, normalized per physical tile.
-
-        Flits and stalls are divided by the class's tile count before the
-        ratio, matching how the paper's per-tile scatter plots are drawn.
-        (The normalization cancels in the ratio; it matters for the raw
-        per-tile flit/stall series.)
-        """
-        return self.snapshot().ratio(cls)
-
     def per_tile_flits(self, cls: str) -> np.ndarray:
         """Mean flits per physical tile of ``cls`` on each router."""
         return self._flits[cls] / self.top.tiles.count_for(cls)

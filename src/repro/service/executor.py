@@ -25,7 +25,6 @@ on the next request (the record it produces is still deterministic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core import checkpoint as ckpt
 from repro.core.experiment import CampaignConfig, RunRecord, campaign_fingerprint
@@ -33,9 +32,6 @@ from repro.core.pipeline import RESUME, Plan, run_pipeline, select_backend
 from repro.service.store import RunRecordStore, entry_key
 from repro.telemetry import Telemetry
 from repro.topology.dragonfly import DragonflyTopology
-
-if TYPE_CHECKING:
-    from repro.scheduler.background import BackgroundModel, BackgroundScenario
 
 
 @dataclass
@@ -105,8 +101,6 @@ def run_campaign_cached(
     cfg: CampaignConfig,
     *,
     store: RunRecordStore,
-    background_model: BackgroundModel | None = None,
-    scenarios: list[BackgroundScenario] | None = None,
     telemetry: Telemetry | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -132,8 +126,6 @@ def run_campaign_cached(
             cfg,
             select_backend(jobs, queue_dir, fallback_after=fallback_after, poll=poll),
             cache=cache,
-            background_model=background_model,
-            scenarios=scenarios,
             telemetry=telemetry,
             checkpoint_path=checkpoint_path,
             resume=resume,

@@ -43,10 +43,6 @@ def milc_campaign(theta_top):
     """A small paired MILC campaign shared by analysis-layer tests."""
     from repro.apps import MILC
     from repro.core.experiment import CampaignConfig, run_campaign
-    from repro.scheduler.background import BackgroundModel
-    from repro.util import derive_rng
 
-    bm = BackgroundModel(theta_top)
-    scenarios = bm.build_pool(3, derive_rng(99, "testpool"), reserve_nodes=256)
     cfg = CampaignConfig(app=MILC(), samples=5, scenario_pool=3)
-    return run_campaign(theta_top, cfg, background_model=bm, scenarios=scenarios)
+    return run_campaign(theta_top, cfg)

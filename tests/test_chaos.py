@@ -130,14 +130,6 @@ class TestSpec:
         activate(ChaosSchedule.parse("queue.*:trace"))
         assert fp.is_active()
 
-    def test_env_round_trip(self):
-        s = ChaosSchedule.parse("checkpoint.append:eio:p=0.5", seed=3, epoch=2)
-        env = s.to_env({})
-        restored = fp.activate_from_env(env)
-        assert restored is not None
-        assert restored.seed == 3 and restored.epoch == 2
-        assert restored.describe() == s.describe()
-
     def test_env_unset_is_inactive(self):
         assert fp.activate_from_env({}) is None
         assert not fp.is_active()

@@ -19,7 +19,6 @@ from repro.core.experiment import (
     stats_by_mode,
 )
 from repro.mpi.env import RoutingEnv
-from repro.scheduler.background import BackgroundModel
 from repro.util import derive_rng
 
 
@@ -200,20 +199,3 @@ class TestDrawnPool:
         # sample 2 is outside the campaign and reads slot 0, never solved
         with pytest.raises(ValueError, match="sample 2 reads background scenario 0"):
             sample_draws(mini_top, cfg, 2, bg.model, bg.scenarios)
-
-    def test_explicit_pool_is_used_as_given(self, mini_top):
-        cfg = self._cfg(samples=2)
-        bm = BackgroundModel(mini_top)
-        pool = bm.build_pool(2, derive_rng(5, "pool"), reserve_nodes=32)
-        assert all(sc is not None for sc in pool)
-        bg = CampaignBackground(mini_top, cfg, bm, pool)
-        bg.build()
-        assert bg.scenarios is pool
-        # the slot is drawn over the explicit pool's own length
-        for i in range(4):
-            nodes, bgu, intensity = bg.draws(i)
-            _, _, slot = sample_slot(mini_top, cfg, i, len(pool))
-            want = mask_endpoint_background(
-                mini_top, pool[slot].at_intensity(intensity), nodes
-            )
-            assert bgu.tobytes() == want.tobytes()

@@ -487,7 +487,7 @@ class TestSolveWorkingSet:
             return SimpleNamespace(link_raw_util=np.zeros(top.n_links))
 
         monkeypatch.setattr(background, "solve_fluid", record)
-        resolve_scenarios(theta_top, cfg, None, None)
+        resolve_scenarios(theta_top, cfg)
         flows, modes, rng, params, kw = max(calls, key=lambda c: c[0].n)
         assert flows.n == 39168
         assert kw == {"fixed_duration": 1.0, "link_field_only": True}

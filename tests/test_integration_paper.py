@@ -19,32 +19,18 @@ from repro.apps import HACC, MILC
 from repro.core.biases import AD0, AD1, AD2, AD3
 from repro.core.ensembles import EnsembleConfig, run_ensemble
 from repro.core.experiment import CampaignConfig, run_campaign, stats_by_mode
-from repro.scheduler.background import BackgroundModel
-from repro.util import derive_rng
 
 
 @pytest.fixture(scope="module")
-def shared_pool():
-    from repro.topology.systems import theta
-
-    top = theta()
-    bm = BackgroundModel(top)
-    scenarios = bm.build_pool(6, derive_rng(2021, "itest-pool"), reserve_nodes=512)
-    return top, bm, scenarios
-
-
-@pytest.fixture(scope="module")
-def milc_recs(shared_pool):
-    top, bm, scenarios = shared_pool
+def milc_recs(theta_top):
     cfg = CampaignConfig(app=MILC(), samples=12, seed=77)
-    return run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+    return run_campaign(theta_top, cfg)
 
 
 @pytest.fixture(scope="module")
-def hacc_recs(shared_pool):
-    top, bm, scenarios = shared_pool
+def hacc_recs(theta_top):
     cfg = CampaignConfig(app=HACC(), samples=10, seed=77)
-    return run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+    return run_campaign(theta_top, cfg)
 
 
 class TestMilcProduction:
@@ -98,13 +84,12 @@ class TestHaccProduction:
 
 
 class TestControlledModes:
-    def test_ad3_best_of_four_for_milc(self, shared_pool):
+    def test_ad3_best_of_four_for_milc(self, theta_top):
         # Fig. 9's ordering, probed with MILC (the latency-sensitive app)
-        top, bm, scenarios = shared_pool
         cfg = CampaignConfig(
             app=MILC(), samples=6, modes=(AD0, AD1, AD2, AD3), seed=31
         )
-        recs = run_campaign(top, cfg, background_model=bm, scenarios=scenarios)
+        recs = run_campaign(theta_top, cfg)
         st = stats_by_mode(recs)
         assert st["AD3"].mean <= min(st["AD0"].mean, st["AD1"].mean) * 1.02
         # biased modes beat the unbiased default on average
@@ -112,12 +97,11 @@ class TestControlledModes:
 
 
 class TestControlledEnsembles:
-    def test_milc_ensemble_fig10_shapes(self, shared_pool):
-        top, _, _ = shared_pool
+    def test_milc_ensemble_fig10_shapes(self, theta_top):
         snaps = {}
         for mode in (AD0, AD3):
             r = run_ensemble(
-                top,
+                theta_top,
                 EnsembleConfig(
                     app=MILC(), n_jobs=4, n_nodes=256, mode=mode, placement="dispersed"
                 ),
@@ -130,12 +114,11 @@ class TestControlledEnsembles:
         assert snaps["AD3"].stalls["rank1"].sum() < snaps["AD0"].stalls["rank1"].sum()
         assert snaps["AD3"].stalls["rank2"].sum() < snaps["AD0"].stalls["rank2"].sum()
 
-    def test_hacc_ensemble_fig12_shapes(self, shared_pool):
-        top, _, _ = shared_pool
+    def test_hacc_ensemble_fig12_shapes(self, theta_top):
         results = {}
         for mode in (AD0, AD3):
             results[mode.name] = run_ensemble(
-                top,
+                theta_top,
                 EnsembleConfig(
                     app=HACC(), n_jobs=8, n_nodes=256, mode=mode, placement="compact"
                 ),
@@ -149,11 +132,10 @@ class TestControlledEnsembles:
 
 
 class TestFacilityChange:
-    def test_default_change_directions(self, shared_pool):
+    def test_default_change_directions(self, theta_top):
         from repro.core.facility import run_default_change_study
 
-        top, _, _ = shared_pool
-        study = run_default_change_study(top, n_intervals=8, seed=5)
+        study = run_default_change_study(theta_top, n_intervals=8, seed=5)
         change = study.counter_change()
         # fewer transmissions with minimal routing...
         assert change["flits"] < 0.0

@@ -25,6 +25,16 @@ class TestDispersionStats:
         assert d.n == 1 and d.std == 0.0
 
 
+@pytest.fixture(scope="module")
+def milc_campaign_16(theta_top):
+    """MILC at 16 samples per mode, Table II's count at benchmark scale 1:
+    an attribution over 5 samples is too noisy to rank the factors."""
+    from repro.apps import MILC
+    from repro.core.experiment import CampaignConfig, run_campaign
+
+    return run_campaign(theta_top, CampaignConfig(app=MILC(), samples=16, scenario_pool=3))
+
+
 class TestCampaignVariability:
     def test_report_modes(self, milc_campaign):
         rep = variability_report(milc_campaign)
@@ -45,9 +55,9 @@ class TestCampaignVariability:
             for v in parts.values():
                 assert 0.0 <= v <= 1.0
 
-    def test_intensity_is_the_dominant_factor(self, milc_campaign):
+    def test_intensity_is_the_dominant_factor(self, milc_campaign_16):
         # production variability is driven by how busy the machine is
-        attr = explain_variability(milc_campaign)
+        attr = explain_variability(milc_campaign_16)
         assert (
             attr["AD0"]["background_intensity"]
             >= attr["AD0"]["groups_spanned"] - 0.05
