@@ -31,18 +31,27 @@ code it uses (``report`` never imports numpy; see docs/PERFORMANCE.md,
 
 from __future__ import annotations
 
-import argparse
-import logging
-import math
-import signal
-import sys
-import time
-from pathlib import Path
-from typing import TYPE_CHECKING
+import os
 
-from repro.faults.errors import NetworkPartitionedError
-from repro.telemetry.context import Telemetry, use_telemetry
-from repro.telemetry.trace import (
+# No engine calls BLAS, yet OpenBLAS starts a worker thread per extra CPU
+# when numpy loads, and each spins at start-up.  Run it on one thread in
+# every CLI process (fork children inherit this) unless the user chose a
+# count; it is read once, when numpy first loads, so it comes first.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import logging  # noqa: E402
+import math  # noqa: E402
+import signal  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import TYPE_CHECKING  # noqa: E402
+
+from repro.faults.errors import NetworkPartitionedError  # noqa: E402
+from repro.telemetry.context import Telemetry, use_telemetry  # noqa: E402
+from repro.telemetry.trace import (  # noqa: E402
     NULL_TRACE,
     JsonlTraceWriter,
     LoggingTraceWriter,

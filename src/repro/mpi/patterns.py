@@ -152,16 +152,6 @@ class Phase:
         check_nonnegative("compute_time", self.compute_time)
         check_nonnegative("spread_time", self.spread_time)
 
-    def all_flows(self) -> FlowSet:
-        """All flows of the phase with classes set to their TrafficOp."""
-        parts: list[FlowSet] = []
-        if self.p2p is not None and self.p2p.flows.n:
-            parts.append(self.p2p.flows.with_class(int(TrafficOp.P2P)))
-        for c in self.collectives:
-            if c.flows.n:
-                parts.append(c.flows.with_class(int(c.traffic_op)))
-        return FlowSet.concat(parts)
-
     def total_bytes(self) -> float:
         """Total bytes moved by the phase per iteration."""
         total = 0.0

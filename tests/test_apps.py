@@ -18,6 +18,7 @@ from repro.apps import (
     app_by_name,
 )
 from repro.apps.base import grid_dims, rank_grid_coords, random_pair_flows, stencil_flows
+from repro.core.experiment import phase_slices
 from repro.mpi.patterns import TrafficOp
 from repro.util import KiB, MiB
 
@@ -193,10 +194,10 @@ class TestScaling:
 
     @pytest.mark.parametrize("cls", list(PRODUCTION_APPS))
     def test_phases_well_formed(self, cls, rng):
-        phases = cls()().phases(np.arange(128), rng) if False else cls().phases(np.arange(128), rng)
+        phases = cls().phases(np.arange(128), rng)
         assert len(phases) >= 1
         for p in phases:
-            fl = p.all_flows()
+            fl = phase_slices(p)[0]
             if fl.n:
                 assert (fl.src != fl.dst).all()
                 assert (fl.nbytes >= 0).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.biases import AD0, AD1, AD2, AD3
+from repro.core.experiment import phase_slices
 from repro.mpi.api import SimComm
 from repro.mpi.env import (
     A2A_ROUTING_MODE_VAR,
@@ -69,8 +70,9 @@ class TestPhase:
             traffic_op=TrafficOp.A2A,
         )
         phase = Phase(name="x", compute_time=0.1, p2p=p2p, collectives=[coll])
-        fl = phase.all_flows()
+        fl, slices = phase_slices(phase)
         assert fl.n == 4
+        assert slices == [("p2p", 0, 2), ("coll0", 2, 4)]
         assert set(np.unique(fl.cls)) == {int(TrafficOp.P2P), int(TrafficOp.A2A)}
 
     def test_total_bytes(self):

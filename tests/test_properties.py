@@ -107,6 +107,22 @@ class TestMetricsProperties:
         assert out.size <= v.size
         assert np.isin(out, v).all()
 
+    @given(st.lists(st.floats(0.0, 1e9), max_size=10))
+    def test_outlier_removal_keeps_every_run_up_to_ten(self, values):
+        # with the sample std no value lies beyond (n-1)/sqrt(n) sigma:
+        # 2.85 at n = 10, inside the 3-sigma cut
+        v = np.array(values)
+        np.testing.assert_array_equal(remove_outliers(v), v)
+
+    @given(
+        st.floats(1.0, 1e6), st.floats(1e-6, 1e3), st.booleans(), st.integers(0, 10)
+    )
+    def test_outlier_removal_drops_the_odd_run_at_eleven(self, value, gap, slow, at):
+        # the one odd value of 11 lies 10/sqrt(11) = 3.02 sigma out
+        odd = value * (1 + gap) if slow else value / (1 + gap)
+        v = np.insert(np.full(10, value), at, odd)
+        np.testing.assert_array_equal(remove_outliers(v), np.full(10, value))
+
     @given(
         st.lists(st.floats(0.1, 1e3, allow_nan=False), min_size=1, max_size=200)
     )
