@@ -232,6 +232,66 @@ def _faulted(spec_txt, seed, patience=4, max_retry=2):
     return build
 
 
+def _faulted_modes(spec_txt, seed):
+    """AD0-AD3 messages under a fault, one of them added mid-run: every
+    mode group's decision runs under the dead-link mask."""
+
+    def build(cls, cfg_cls):
+        cfg = cfg_cls(reroute_patience=3, max_reroute_attempts=2)
+        faults = FaultSchedule.parse(spec_txt, seed=seed)
+        sim = cls(toy(), cfg, rng=np.random.default_rng(13), faults=faults)
+        modes = [AD0, AD1, AD2, AD3]
+        for s in range(8):
+            sim.add_message(
+                InjectionSpec(src=s, dst=(s + 17) % 32, nbytes=64 * 300, mode=modes[s % 4])
+            )
+        for _ in range(30):
+            sim.advance()
+        sim.add_message(
+            InjectionSpec(src=9, dst=26, nbytes=64 * 200, mode=AD1, start_step=sim.step + 2)
+        )
+        sim.run()
+        return sim
+
+    return build
+
+
+def _mini_mixed(cls, cfg_cls):
+    """Mixed modes, sizes and start steps on 4 groups, where each message
+    owns a full candidate window."""
+    sim = cls(mini(), cfg_cls(reroute_patience=3), rng=np.random.default_rng(17))
+    modes = [AD0, AD1, AD2, AD3]
+    sizes = [64, 100, 8192, 4096, 777, 64 * 200]
+    starts = [0, 0, 5, 17, 100, 400, 1000]
+    for i in range(24):
+        src = (i * 37) % 128
+        sim.add_message(
+            InjectionSpec(
+                src=src,
+                dst=(src + 32 + (i * 11) % 64) % 128,
+                nbytes=sizes[i % len(sizes)],
+                mode=modes[i % 4],
+                start_step=starts[i % len(starts)],
+            )
+        )
+    sim.run()
+    return sim
+
+
+def _mini_faulted(cls, cfg_cls):
+    faults = FaultSchedule.parse("cable:0-1:0@5e-7;router:5@1e-6,4e-6", seed=6)
+    cfg = cfg_cls(reroute_patience=2, max_reroute_attempts=2)
+    sim = cls(mini(), cfg, rng=np.random.default_rng(19), faults=faults)
+    modes = [AD0, AD1, AD2, AD3]
+    for i in range(16):
+        src = (i * 5) % 64
+        sim.add_message(
+            InjectionSpec(src=src, dst=(src + 32 + i) % 128, nbytes=64 * 400, mode=modes[i % 4])
+        )
+    sim.run()
+    return sim
+
+
 def _patience_zero(cls, cfg_cls):
     faults = FaultSchedule.parse("cable:0-1:0@5e-7", seed=2)
     sim = cls(toy(), cfg_cls(reroute_patience=0), rng=np.random.default_rng(5), faults=faults)
@@ -263,6 +323,10 @@ _PACKET_SCENARIOS = {
     "fault-router": _faulted("router:1@1e-6", 4, max_retry=1),
     "patience0": _patience_zero,
     "incremental": _incremental,
+    "fault-modes-timed": _faulted_modes("cable:0-1:0@1.5e-6,6e-6", 8),
+    "fault-modes-router": _faulted_modes("router:1@1e-6", 9),
+    "mini-mixed": _mini_mixed,
+    "mini-faulted": _mini_faulted,
 }
 
 
