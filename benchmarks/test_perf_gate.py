@@ -1,7 +1,7 @@
 """Perf-regression gate over the engine hot-path kernels.
 
 Times the engine kernels the hot-path overhauls target — packet-sim
-stepping, the 4k-flow fluid solve (warm path memo), a cold Theta fluid
+stepping, fault-free and under a timed cable fault, the 4k-flow fluid solve (warm path memo), a cold Theta fluid
 solve (path build and solver set-up included), the Theta path build, and
 a full MILC run — and checks them two ways:
 
@@ -40,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT))  # for the frozen tests._reference_* engines
 from repro.apps import MILC  # noqa: E402
 from repro.core.biases import AD0  # noqa: E402
 from repro.core.experiment import phase_slices, run_app_once  # noqa: E402
+from repro.faults.model import FaultSchedule  # noqa: E402
 from repro.mpi.env import RoutingEnv  # noqa: E402
 from repro.network.fluid import FlowSet, FluidParams, solve_fluid  # noqa: E402
 from repro.network.packet_sim import InjectionSpec, PacketSimulator  # noqa: E402
@@ -69,11 +70,11 @@ def _time(fn, reps, warmup=2, memo=True):
         return (time.perf_counter() - t0) / reps
 
 
-def _packet_round(sim_cls):
+def _packet_round(sim_cls, faults=None):
     top = toy()
 
     def run():
-        sim = sim_cls(top, rng=np.random.default_rng(3))
+        sim = sim_cls(top, rng=np.random.default_rng(3), faults=faults)
         for s in range(16):
             sim.add_message(InjectionSpec(src=s, dst=16 + s, nbytes=8192, mode=AD0))
         sim.run()
@@ -123,6 +124,17 @@ def test_perf_gate():
     t_new = _time(_packet_round(PacketSimulator), reps=10)
     t_seed = _time(_packet_round(ref_pkt.PacketSimulator), reps=10)
     measured["packet_sim_steps"] = {
+        "optimized_seconds": t_new,
+        "seed_seconds": t_seed,
+        "speedup": t_seed / t_new,
+    }
+
+    # the same round under a cable that dies mid-run and recovers: dead
+    # candidate rows, dead-link retransmits and the fault edges
+    faults = FaultSchedule.parse("cable:0-1:0@2.5e-6,9e-6", seed=5)
+    t_new = _time(_packet_round(PacketSimulator, faults), reps=10)
+    t_seed = _time(_packet_round(ref_pkt.PacketSimulator, faults), reps=10)
+    measured["packet_sim_steps_faulted"] = {
         "optimized_seconds": t_new,
         "seed_seconds": t_seed,
         "speedup": t_seed / t_new,

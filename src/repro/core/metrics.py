@@ -15,14 +15,15 @@ import numpy as np
 def zscore(values: np.ndarray) -> np.ndarray:
     """Z-score normalization: 0 is the mean; positive is slower.
 
-    Degenerate inputs (fewer than 2 values, or zero spread) normalize to
-    zeros rather than dividing by zero.
+    Degenerate inputs (fewer than 2 values, or a spread that is zero or
+    overflows float64) normalize to zeros rather than dividing by zero
+    or infinity.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         return np.zeros_like(v)
     sd = v.std(ddof=1)
-    if sd == 0:
+    if sd == 0 or not np.isfinite(sd):
         return np.zeros_like(v)
     return (v - v.mean()) / sd
 

@@ -17,7 +17,18 @@ Model
   best non-minimal candidate sub-paths of its message are scored by
   summed queue occupancy (in credit units) and compared through
   :func:`repro.core.policy.minimal_preferred` with the message's routing
-  mode — the same arithmetic the fluid solver uses fractionally.
+  mode — the same arithmetic the fluid solver uses fractionally.  A
+  candidate crossing a dead link scores ``+inf``; a message with no
+  finite candidate drops the packets.
+* The decision reads a window of ``k_min + k_nonmin`` candidate rows
+  starting at the message's first row: its minimal rows, then the
+  rows after them as the non-minimal side.  A message that owns fewer
+  than ``k_nonmin`` non-minimal rows (on a 2-group system Valiant
+  yields one per flow) therefore also scores the next message's
+  leading rows, and may route packets onto them; rows past the end of
+  the table score ``+inf``.  This is the frozen reference's window,
+  kept byte for byte; ROADMAP item 11 lists fixing it as a model
+  change.
 * Served packets advance to the next link of their chosen path; packets
   left waiting accrue one **stall** per step on their link, served
   packets accrue their **flits** — giving hardware-shaped counters.
@@ -51,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.biases import RoutingMode
-from repro.core.policy import minimal_preferred
 from repro.faults.model import FaultSchedule
 from repro.guard.context import active_guard
 from repro.guard.invariants import check_packet_state
@@ -161,12 +171,6 @@ class MessageStats:
         return (self.finish_step - self.spec.start_step) * step_time
 
 
-def _compact_rows(links: np.ndarray) -> np.ndarray:
-    """Push the valid (>=0) entries of each row to the front, keep order."""
-    order = np.argsort(links < 0, axis=1, kind="stable")
-    return np.take_along_axis(links, order, axis=1)
-
-
 def _occurrence_index(dest: np.ndarray) -> np.ndarray:
     """Position of each element within its equal-value group, in order.
 
@@ -215,9 +219,13 @@ class PacketSimulator:
             list(self.faults.change_times()) if self.faults is not None else []
         )
 
-        # per-link service rate, packets per step
+        # per-link service rate, packets per step; _dead lists the links
+        # a fault has killed, which candidate scoring reads as +inf
         self._base_rate = self._base_top.capacity * c.step_time / PACKET_BYTES
         self.rate = top.capacity * c.step_time / PACKET_BYTES
+        self._dead = np.zeros(0, dtype=np.int64)
+        if self.faults is not None:
+            self._dead = np.flatnonzero(self.rate <= 0.0)
         self.credit = np.zeros(top.n_links)
         self.flits = np.zeros(top.n_links)
         self.stalls = np.zeros(top.n_links)
@@ -238,17 +246,16 @@ class PacketSimulator:
 
         # message bookkeeping
         self.messages: list[MessageStats] = []
-        self._msg_mode: list[RoutingMode] = []
-        self._cand_msg_start: list[int] = []
         #: pending activations as (start_step, message id) pairs
         self._pending: list[tuple[int, int]] = []
         self._pending_min = _NEVER
 
-        # per-message arenas mirroring the lists above for vectorized
-        # use; _msg_min/_msg_nonmin accumulate the fault-free routing
-        # attribution and are mirrored into MessageStats at step end
+        # per-message arenas for vectorized use; _msg_min/_msg_nonmin
+        # accumulate the routing attribution and are mirrored into
+        # MessageStats at step end
         self._msg_cap = 0
         self._msg_remaining = np.zeros(0, dtype=np.int64)
+        self._msg_inj = np.zeros(0, dtype=np.int64)
         self._cand_start_arr = np.zeros(0, dtype=np.int64)
         self._msg_modegrp = np.zeros(0, dtype=np.int64)
         self._msg_min = np.zeros(0, dtype=np.int64)
@@ -260,14 +267,14 @@ class PacketSimulator:
 
         # candidate paths, stacked: per message k_min minimal rows then
         # its non-minimal rows, in capacity-doubling arenas (live prefix
-        # [:_cand_rows]).  _cand_safe/_cand_bias are the precomputed
+        # [:_cand_rows], followed by one window of padding rows that
+        # score +inf).  _cand_safe/_cand_bias are the precomputed
         # scoring geometry: sentinel-masked link columns 1.. and the
         # hop-count bias term of each row.
         L = self.top.n_links
         self._L = L
         self._cand_rows = 0
         self._cand_links = np.zeros((0, MAX_HOPS), dtype=np.int64)
-        self._cand_valid = np.zeros((0, MAX_HOPS), dtype=bool)
         self._cand_safe = np.zeros((0, MAX_HOPS - 1), dtype=np.int64)
         self._cand_bias = np.zeros(0, dtype=np.float64)
 
@@ -311,7 +318,8 @@ class PacketSimulator:
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
-    def _validate_spec(self, spec: InjectionSpec) -> None:
+    def add_message(self, spec: InjectionSpec) -> int:
+        """Register a message; returns its message id."""
         if spec.src == spec.dst:
             raise ValueError("src and dst must differ")
         if not (0 <= spec.src < self.top.n_nodes and 0 <= spec.dst < self.top.n_nodes):
@@ -320,73 +328,22 @@ class PacketSimulator:
             raise ValueError("nbytes must be > 0")
         if spec.start_step < self.step:
             raise ValueError("start_step is in the past")
-
-    def add_message(self, spec: InjectionSpec) -> int:
-        """Register a message; returns its message id."""
-        self._validate_spec(spec)
         c = self.config
         src = np.array([spec.src])
         dst = np.array([spec.dst])
         bmin = cached_minimal_paths(self.top, src, dst, k=c.k_min, rng=self.rng)
         bnon = cached_valiant_paths(self.top, src, dst, k=c.k_nonmin, rng=self.rng)
         self._n_min_cand = bmin.links.shape[0]  # same for every message
-        return self._register_message(spec, bmin.links, bnon.links)
-
-    def add_messages(self, specs: list[InjectionSpec]) -> list[int]:
-        """Register a batch of messages with one path-table construction.
-
-        Semantically equivalent to ``[add_message(s) for s in specs]``
-        but builds the minimal and Valiant candidate tables for the
-        whole batch in two vectorized calls instead of two per message.
-
-        .. note::
-           The bulk path consumes the simulator's RNG in a different
-           order than per-message registration (all minimal detour draws
-           happen before any Valiant draws), so candidate tables — and
-           therefore individual run trajectories — differ from the
-           per-message API at the byte level while remaining
-           statistically equivalent (see docs/PERFORMANCE.md for the
-           re-baseline policy).  Use :meth:`add_message` where exact
-           reproducibility against existing baselines matters.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        for spec in specs:
-            self._validate_spec(spec)
-        c = self.config
-        src = np.array([s.src for s in specs])
-        dst = np.array([s.dst for s in specs])
-        bmin = cached_minimal_paths(self.top, src, dst, k=c.k_min, rng=self.rng)
-        bnon = cached_valiant_paths(self.top, src, dst, k=c.k_nonmin, rng=self.rng)
-        # flow-major bundles: each flow's rows are contiguous
-        km = bmin.links.shape[0] // len(specs)
-        kn = bnon.links.shape[0] // len(specs)
-        self._n_min_cand = km
-        return [
-            self._register_message(
-                spec,
-                bmin.links[i * km : (i + 1) * km],
-                bnon.links[i * kn : (i + 1) * kn],
-            )
-            for i, spec in enumerate(specs)
-        ]
-
-    def _register_message(
-        self, spec: InjectionSpec, links_min: np.ndarray, links_non: np.ndarray
-    ) -> int:
         mid = len(self.messages)
         n_pkts = int(np.ceil(spec.nbytes / PACKET_BYTES))
-        start_row = self._append_candidates(links_min, links_non)
-
+        start_row = self._append_candidates(bmin.links, bnon.links)
         self.messages.append(MessageStats(spec=spec, n_packets=n_pkts))
-        self._msg_mode.append(spec.mode)
-        self._cand_msg_start.append(start_row)
 
         if mid >= self._msg_cap:
             new_cap = max(16, self._msg_cap * 2)
             for name in (
                 "_msg_remaining",
+                "_msg_inj",
                 "_cand_start_arr",
                 "_msg_modegrp",
                 "_msg_min",
@@ -399,6 +356,7 @@ class PacketSimulator:
                 setattr(self, name, buf)
             self._msg_cap = new_cap
         self._msg_remaining[mid] = n_pkts
+        self._msg_inj[mid] = self.top.injection_link(spec.src)
         self._cand_start_arr[mid] = start_row
         grp = self._mode_ids.get(id(spec.mode))
         if grp is None:
@@ -413,18 +371,19 @@ class PacketSimulator:
         return mid
 
     def _append_candidates(self, links_min: np.ndarray, links_non: np.ndarray) -> int:
-        """Append one message's candidate rows to the arenas; returns the
-        first row index."""
+        """Append one message's candidate rows to the arenas, then one
+        window of padding rows; returns the first row index."""
         km = links_min.shape[0]
         k = km + links_non.shape[0]
         r0 = self._cand_rows
         need = r0 + k
+        pad = need + km + self.config.k_nonmin
         cap = self._cand_links.shape[0]
-        if need > cap:
+        if pad > cap:
             new_cap = max(64, cap)
-            while new_cap < need:
+            while new_cap < pad:
                 new_cap *= 2
-            for name in ("_cand_links", "_cand_valid", "_cand_safe", "_cand_bias"):
+            for name in ("_cand_links", "_cand_safe", "_cand_bias"):
                 old = getattr(self, name)
                 shape = (new_cap,) + old.shape[1:]
                 buf = np.empty(shape, dtype=old.dtype)
@@ -436,9 +395,12 @@ class PacketSimulator:
         order = np.argsort(block < 0, axis=1, kind="stable")
         block[:] = np.take_along_axis(block, order, axis=1)
         valid = block >= 0
-        self._cand_valid[r0:need] = valid
         self._cand_safe[r0:need] = np.where(valid[:, 1:], block[:, 1:], self._L)
         self._cand_bias[r0:need] = self.config.hop_bias_credits * valid[:, 1:].sum(axis=1)
+        # a window running past the last message's rows must never pick
+        # a row there: the padding scores +inf
+        self._cand_safe[need:pad] = self._L
+        self._cand_bias[need:pad] = np.inf
         self._cand_rows = need
         return r0
 
@@ -449,13 +411,11 @@ class PacketSimulator:
         self._pending_min = min((p[0] for p in self._pending), default=_NEVER)
         for _, mid in due:
             stats = self.messages[mid]
-            spec = stats.spec
             n_pkts = stats.n_packets
-            tail = spec.nbytes - (n_pkts - 1) * PACKET_BYTES
+            tail = stats.spec.nbytes - (n_pkts - 1) * PACKET_BYTES
             flits = np.full(n_pkts, PACKET_BYTES / FLIT_BYTES)
             flits[-1] = max(1.0, np.ceil(tail / FLIT_BYTES))
-            inj = int(self.top.injection_link(spec.src))
-            self._append_packets(mid, inj, flits)
+            self._append_packets(mid, int(self._msg_inj[mid]), flits)
 
     def _append_packets(self, mid: int, link: int, flits: np.ndarray) -> None:
         n_new = flits.size
@@ -644,6 +604,7 @@ class PacketSimulator:
         recovered = (new_rate > 0.0) & (self.rate <= 0.0) & (self._base_rate > 0.0)
         self.rate = new_rate
         self._clamp = 2.0 * new_rate + 1.0
+        self._dead = np.flatnonzero(new_rate <= 0.0)
         # rate edges change which hop-1 packets are re-route eligible
         # (the dead-link exclusion): re-arm the stuck scan
         self._stuck_check_at = self.step
@@ -677,20 +638,9 @@ class PacketSimulator:
         if retry.size == 0:
             return
         old_links = ai[LNK, retry]
-        mids = ai[MSG, retry]
-        for mid in np.unique(mids):
-            mid = int(mid)
-            sel = retry[mids == mid]
-            rows = ai[ROW, sel]
-            routed = rows >= 0
-            if routed.any():
-                # un-attribute: the packet will be re-routed from scratch
-                start = self._cand_msg_start[mid]
-                prev_min = rows[routed] - start < self._n_min_cand
-                self.messages[mid].min_packets -= int(prev_min.sum())
-                self.messages[mid].nonmin_packets -= int((~prev_min).sum())
-            inj = int(self.top.injection_link(self.messages[mid].spec.src))
-            ai[LNK, sel] = inj
+        # the packets will be routed from scratch
+        self._unattribute(retry)
+        ai[LNK, retry] = self._msg_inj[ai[MSG, retry]]
         ai[ROW, retry] = -1
         ai[HOP, retry] = 0
         ai[WSC, retry] = self.step
@@ -853,185 +803,96 @@ class PacketSimulator:
         chosen row (1 right after injection; also 1 when a blocked
         packet is re-routed to a different output port of the same
         router).  ``hops_taken`` feeds AD1's per-hop shift schedule.
-        """
-        if self.faults is not None:
-            self._route_masked(packets, hops_taken=hops_taken, at_hop=at_hop)
-        else:
-            self._route_batched(packets, hops_taken=hops_taken, at_hop=at_hop)
 
-    def _route_batched(
-        self, packets: np.ndarray, *, hops_taken: int, at_hop: int
-    ) -> None:
-        """Fault-free scoring of every affected message in one batch.
-
-        Candidate windows are gathered as one (messages x window) score
-        matrix through the sentinel-extended occupancy table; the
-        per-message window is ``_n_min_cand + k_nonmin`` rows from the
-        message's first candidate row, exactly as the per-message loop
-        slices it (including its cross-message read of the next
-        message's leading rows when a message owns fewer non-minimal
-        candidates than ``k_nonmin`` — see docs/PERFORMANCE.md).
+        Every affected message is scored in one batch: its window of
+        ``_n_min_cand + k_nonmin`` rows from its first candidate row is
+        gathered as one (messages x window) score matrix through the
+        sentinel-extended occupancy table.  Dead links read ``+inf``
+        occupancy, so a row crossing one scores ``+inf``, as do the
+        padding rows past the end of the table; a message whose whole
+        window scores ``+inf`` has its packets flagged for drop.
         """
         c = self.config
         L = self._L
         ai = self._ai
-        M = len(self.messages)
         mids = ai[MSG, packets]
         # bincount-based unique: message ids are dense small ints, so a
         # count + scatter lookup beats np.unique's sort
-        cnt = np.bincount(mids, minlength=M)
+        cnt = np.bincount(mids, minlength=len(self.messages))
         umids = cnt.nonzero()[0]
         U = umids.size
-        cnt_all = cnt[umids]
         lut = self._mid_lut
         lut[umids] = np.arange(U)
-        inv = lut[mids]
         nm = self._n_min_cand
         W = nm + c.k_nonmin
         starts = self._cand_start_arr[umids]
         occ_ext = self._occ_scratch
         occ_ext[:L] = self._qlen  # == occupancy(); occ_ext[L] stays 0.0
+        occ_ext[self._dead] = np.inf
 
-        chosen = np.empty(U, dtype=np.int64)
-        take_min_u = np.empty(U, dtype=bool)
-        full = starts + W <= self._cand_rows
-        fidx = full.nonzero()[0]
-        if fidx.size:
-            sF = starts[fidx]
-            ridx = (sF[:, None] + np.arange(W)).ravel()
-            s = occ_ext[self._cand_safe[ridx]].sum(axis=1)
-            s /= c.occupancy_credit_unit
-            s += self._cand_bias[ridx]
-            S = s.reshape(fidx.size, W)
-            smin = S[:, :nm]
-            snon = S[:, nm:]
-            bm = np.argmin(smin, axis=1)
-            lm = smin.min(axis=1)
-            bn = np.argmin(snon, axis=1)
-            ln = snon.min(axis=1)
-            if len(self._mode_registry) == 1:
-                tm = self._hard_decision(self._mode_registry[0], lm, ln, hops_taken)
-            else:
-                tm = np.empty(fidx.size, dtype=bool)
-                grp = self._msg_modegrp[umids[fidx]]
-                for g in np.unique(grp):
-                    gsel = grp == g
-                    tm[gsel] = self._hard_decision(
-                        self._mode_registry[g], lm[gsel], ln[gsel], hops_taken
-                    )
-            chosen[fidx] = sF + np.where(tm, bm, nm + bn)
-            take_min_u[fidx] = tm
-        if fidx.size < U:
-            # a window truncated by the end of the candidate table (the
-            # last registered message when its non-minimal candidate
-            # count falls short of k_nonmin): score it exactly as the
-            # per-message loop would
-            occ = occ_ext[:L]
-            for k in (~full).nonzero()[0]:
-                mid = int(umids[k])
-                start = int(starts[k])
-                rows = slice(start, start + W)
-                links = self._cand_links[: self._cand_rows][rows, 1:]
-                validm = self._cand_valid[: self._cand_rows][rows, 1:]
-                scores = (
-                    np.where(validm, occ[np.where(validm, links, 0)], 0.0).sum(axis=1)
-                    / c.occupancy_credit_unit
+        ridx = (starts[:, None] + np.arange(W)).ravel()
+        s = occ_ext[self._cand_safe[ridx]].sum(axis=1)
+        s /= c.occupancy_credit_unit
+        s += self._cand_bias[ridx]
+        S = s.reshape(U, W)
+        smin = S[:, :nm]
+        snon = S[:, nm:]
+        bm = np.argmin(smin, axis=1)
+        lm = smin.min(axis=1)
+        bn = np.argmin(snon, axis=1)
+        ln = snon.min(axis=1)
+        # an infinite side loses the comparison: lm <= ldexp(inf) + add
+        # holds and inf <= finite does not
+        if len(self._mode_registry) == 1:
+            tm = self._hard_decision(self._mode_registry[0], lm, ln, hops_taken)
+        else:
+            tm = np.empty(U, dtype=bool)
+            grp = self._msg_modegrp[umids]
+            for g in np.unique(grp):
+                gsel = grp == g
+                tm[gsel] = self._hard_decision(
+                    self._mode_registry[g], lm[gsel], ln[gsel], hops_taken
                 )
-                scores = scores + c.hop_bias_credits * validm.sum(axis=1)
-                smin = scores[:nm]
-                snon = scores[nm:]
-                best_min = int(np.argmin(smin))
-                best_non = int(np.argmin(snon)) + nm
-                take_min = bool(
-                    minimal_preferred(
-                        self._msg_mode[mid], smin.min(), snon.min(), hops_taken
-                    )
-                )
-                chosen[k] = start + (best_min if take_min else best_non)
-                take_min_u[k] = take_min
+        chosen = starts + np.where(tm, bm, nm + bn)
+
+        live = np.minimum(lm, ln) < np.inf
+        if not live.all():
+            # no surviving candidate at all: drop these packets, leaving
+            # their row and attribution as they were
+            pdrop = ~live[lut[mids]]
+            self._a_drop[packets[pdrop]] = True
+            self._dropped_flagged += int(pdrop.sum())
+            packets = packets[~pdrop]
+            mids = mids[~pdrop]
+            umids = umids[live]
+            tm = tm[live]
 
         # apply the per-message decision to every affected packet; the
         # attribution lands in the _msg_min/_msg_nonmin accumulators and
         # is mirrored into MessageStats at the end of the step
-        M = len(self.messages)
-        row_pp = chosen[inv]
-        prev_rows = ai[ROW, packets]
-        rerouted = prev_rows >= 0
-        if rerouted.any():
-            # un-count packets that had already been attributed to a side
-            prev_min = (prev_rows - self._cand_start_arr[mids]) < nm
-            sel = rerouted & prev_min
-            self._msg_min[:M] -= np.bincount(mids[sel], minlength=M)
-            sel = rerouted & ~prev_min
-            self._msg_nonmin[:M] -= np.bincount(mids[sel], minlength=M)
-        self._msg_min[umids[take_min_u]] += cnt_all[take_min_u]
-        self._msg_nonmin[umids[~take_min_u]] += cnt_all[~take_min_u]
+        self._unattribute(packets)
+        cnt_u = cnt[umids]
+        self._msg_min[umids[tm]] += cnt_u[tm]
+        self._msg_nonmin[umids[~tm]] += cnt_u[~tm]
         self._attr_dirty = True
+        row_pp = chosen[lut[mids]]
         ai[ROW, packets] = row_pp
         ai[HOP, packets] = at_hop
         ai[LNK, packets] = self._cand_links[row_pp, at_hop]
 
-    def _route_masked(
-        self, packets: np.ndarray, *, hops_taken: int, at_hop: int
-    ) -> None:
-        """Per-message scoring under a fault mask (dead candidate rows
-        are ruled out; messages with no surviving row drop their
-        packets).  Rare enough to keep the reference per-message shape."""
+    def _unattribute(self, packets: np.ndarray) -> None:
+        """Un-count already routed packets from their message's side."""
         ai = self._ai
-        occ = self.occupancy()
-        unit = self.config.occupancy_credit_unit
-        dead = self.rate <= 0.0
-        mids = ai[MSG, packets]
-        cl = self._cand_links[: self._cand_rows]
-        cv = self._cand_valid[: self._cand_rows]
-        # score every candidate row of the affected messages
-        for mid in np.unique(mids):
-            start = self._cand_msg_start[mid]
-            n_cand = self._n_min_cand + self.config.k_nonmin
-            # a message's rows: k_min minimal then k_nonmin non-minimal;
-            # skip the injection link (position 0) when scoring.
-            rows = slice(start, start + n_cand)
-            links = cl[rows, 1:]
-            validm = cv[rows, 1:]
-            scores = np.where(validm, occ[np.where(validm, links, 0)], 0.0).sum(axis=1) / unit
-            scores = scores + self.config.hop_bias_credits * validm.sum(axis=1)
-            # a row crossing a dead link can never drain: rule it out
-            row_dead = (validm & dead[np.where(validm, links, 0)]).any(axis=1)
-            if row_dead.all():
-                # no surviving candidate at all — drop these packets
-                sel = packets[mids == mid]
-                self._a_drop[sel] = True
-                self._dropped_flagged += int(sel.size)
-                continue
-            scores = np.where(row_dead, np.inf, scores)
-            smin = scores[: self._n_min_cand]
-            snon = scores[self._n_min_cand :]
-            best_min = int(np.argmin(smin))
-            best_non = int(np.argmin(snon)) + self._n_min_cand
-            mode = self._msg_mode[mid]
-            if not np.isfinite(smin.min()):
-                take_min = False
-            elif not np.isfinite(snon.min()):
-                take_min = True
-            else:
-                take_min = bool(
-                    minimal_preferred(mode, smin.min(), snon.min(), hops_taken)
-                )
-            row = start + (best_min if take_min else best_non)
-            sel = packets[mids == mid]
-            rerouted = ai[ROW, sel] >= 0
-            # un-count packets that had already been attributed to a side
-            if rerouted.any():
-                prev_min = ai[ROW, sel[rerouted]] - start < self._n_min_cand
-                self.messages[mid].min_packets -= int(prev_min.sum())
-                self.messages[mid].nonmin_packets -= int((~prev_min).sum())
-            ai[ROW, sel] = row
-            ai[HOP, sel] = at_hop
-            ai[LNK, sel] = cl[row, at_hop]
-            if take_min:
-                self.messages[mid].min_packets += sel.size
-            else:
-                self.messages[mid].nonmin_packets += sel.size
+        rows = ai[ROW, packets]
+        routed = rows >= 0
+        if not routed.any():
+            return
+        mids = ai[MSG, packets[routed]]
+        prev_min = rows[routed] - self._cand_start_arr[mids] < self._n_min_cand
+        M = len(self.messages)
+        self._msg_min[:M] -= np.bincount(mids[prev_min], minlength=M)
+        self._msg_nonmin[:M] -= np.bincount(mids[~prev_min], minlength=M)
+        self._attr_dirty = True
 
     def _complete(self, done: np.ndarray) -> None:
         ai = self._ai

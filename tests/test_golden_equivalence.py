@@ -2,17 +2,11 @@
 
 The hot-path overhaul (SoA packet arenas, bincount fluid kernels) must be
 invisible at the output level: every counter, array, record, and
-checkpoint byte produced through the default per-message API has to match
-the pre-overhaul implementation exactly — not approximately.  The seed
-engines are frozen verbatim in ``tests/_reference_fluid.py`` and
-``tests/_reference_packet_sim.py``; these tests drive both
-implementations through identical scenarios and assert equality with
-``==``, never with tolerances.
-
-Only the new bulk :meth:`PacketSimulator.add_messages` API is exempt (it
-consumes RNG draws in a different order); its statistical-equivalence
-contract is covered separately in ``test_packet_sim.py`` and documented
-in ``docs/PERFORMANCE.md``.
+checkpoint byte has to match the pre-overhaul implementation exactly —
+not approximately.  The seed engines are frozen verbatim in
+``tests/_reference_fluid.py`` and ``tests/_reference_packet_sim.py``;
+these tests drive both implementations through identical scenarios and
+assert equality with ``==``, never with tolerances.
 """
 
 import numpy as np

@@ -27,6 +27,14 @@ class TestZScore:
         assert zscore(np.array([5.0])).tolist() == [0.0]
         assert zscore(np.array([3.0, 3.0, 3.0])).tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_spread_normalizes_to_zeros(self):
+        # the sum overflows, so the mean and std are inf and the naive
+        # z-scores are nan
+        v = np.array([0.0, 8.98846567431158e307, 8.98846567431158e307])
+        assert zscore(v).tolist() == [0.0, 0.0, 0.0]
+        assert remove_outliers(v).tolist() == v.tolist()
+
     def test_positive_is_slower(self):
         z = zscore(np.array([1.0, 2.0, 3.0]))
         assert z[-1] > 0 > z[0]
