@@ -1,9 +1,10 @@
 """Perf-regression gate over the engine hot-path kernels.
 
 Times the engine kernels the hot-path overhauls target — packet-sim
-stepping, fault-free and under a timed cable fault, the 4k-flow fluid solve (warm path memo), a cold Theta fluid
-solve (path build and solver set-up included), the Theta path build, and
-a full MILC run — and checks them two ways:
+stepping (fault-free and under a timed cable fault), the 4k-flow fluid
+solve (warm path memo), a cold Theta fluid solve (path build and solver
+set-up included), the Theta path build, and a full MILC run — and
+checks them two ways:
 
 * **Regression vs the committed baseline** — each kernel must stay
   within ``REPRO_PERF_GATE_SLACK`` (default 2x) of the absolute seconds
