@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -491,7 +492,10 @@ def drawn_slots(top: DragonflyTopology, cfg: CampaignConfig) -> set[int]:
 
 
 def resolve_scenarios(
-    top: DragonflyTopology, cfg: CampaignConfig
+    top: DragonflyTopology,
+    cfg: CampaignConfig,
+    order: Sequence[int] | None = None,
+    on_solved: Callable[[int, scheduler.BackgroundScenario], None] | None = None,
 ) -> tuple[
     scheduler.BackgroundModel | None, list[scheduler.BackgroundScenario | None] | None
 ]:
@@ -502,10 +506,19 @@ def resolve_scenarios(
     so any process (a ``-j`` child, a queue worker, the service) rebuilds
     the identical pool from the config alone.  The other slots are
     ``None``.  Isolated campaigns have neither model nor pool.
+
+    With ``order``, only those slots are solved, in that order, and each
+    is passed to ``on_solved`` as soon as it is done
+    (:meth:`~repro.scheduler.background.BackgroundModel.solve_pool`), so
+    a queue coordinator can publish each one to its workers at once.
+    None is kept: every slot of the returned pool is ``None``.
     """
     if cfg.background == "production":
         bm = scheduler.BackgroundModel(top)
         pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
+        if order is not None:
+            bm.solve_pool(pool_rng, order, on_solved, reserve_nodes=cfg.n_nodes)
+            return bm, [None] * cfg.scenario_pool
         scenarios = bm.build_pool(
             cfg.scenario_pool,
             pool_rng,
@@ -564,17 +577,30 @@ class CampaignBackground:
     few samples' draws.  Fork-pool workers inherit the object by memory
     image; the parent must :meth:`build` it before forking, or every
     worker would build its own pool.
+
+    A queue worker or coordinator passes ``published``:
+    ``published(slot)`` returns a slot the coordinator solved, as
+    ``(link field, n_jobs, fill)``, or ``None`` when there is none to
+    wait for.  Each slot a draw reads is loaded that way, and so is every
+    drawn slot on :meth:`build`; the first ``None`` builds the whole pool
+    instead.
     """
 
     #: samples whose draws are kept (each entry holds a placement plus a
     #: masked background array)
     DRAW_CACHE_CAP = 4
 
-    def __init__(self, top: DragonflyTopology, cfg: CampaignConfig) -> None:
+    def __init__(
+        self,
+        top: DragonflyTopology,
+        cfg: CampaignConfig,
+        published: Callable[[int], tuple[np.ndarray, int, float] | None] | None = None,
+    ) -> None:
         if cfg.background not in ("production", "isolated"):
             raise ValueError(f"unknown background kind {cfg.background!r}")
         self.top = top
         self.cfg = cfg
+        self.published = published if cfg.background == "production" else None
         self.model = None
         self.scenarios = None
         self.built = False
@@ -583,14 +609,43 @@ class CampaignBackground:
     def build(self) -> None:
         """Resolve the model and pool now; a no-op once built."""
         if not self.built:
-            self.model, self.scenarios = resolve_scenarios(self.top, self.cfg)
+            if not (
+                self.published is not None
+                and all(self._fetch(slot) for slot in sorted(drawn_slots(self.top, self.cfg)))
+            ):
+                self.model, self.scenarios = resolve_scenarios(self.top, self.cfg)
             self.built = True
+
+    def solve(
+        self, order: Sequence[int], on_solved: Callable[[int, scheduler.BackgroundScenario], None]
+    ) -> None:
+        """Solve only the slots ``order``, in that order, passing each to
+        ``on_solved`` as it is done (a queue coordinator publishing
+        them).  None is kept: draws load them back through ``published``."""
+        self.model, self.scenarios = resolve_scenarios(self.top, self.cfg, order, on_solved)
+
+    def _fetch(self, slot: int) -> bool:
+        """Load ``slot`` through ``published`` unless it is loaded; False,
+        and no more fetching, when it is not published."""
+        if self.scenarios is None:
+            self.model = scheduler.BackgroundModel(self.top)
+            self.scenarios = [None] * self.cfg.scenario_pool
+        if self.scenarios[slot] is None:
+            got = self.published(slot)
+            if got is None:
+                self.published = None
+                return False
+            self.scenarios[slot] = scheduler.BackgroundScenario(*got, self.model.default_env)
+        return True
 
     def draws(self, i: int) -> tuple[np.ndarray, np.ndarray | None, float]:
         """Sample ``i``'s :func:`sample_draws`, building the pool if needed."""
         d = self._draws.get(i)
         if d is None:
-            self.build()
+            if not self.built and not (
+                self.published is not None and self._fetch(sample_slot(self.top, self.cfg, i)[2])
+            ):
+                self.build()
             d = sample_draws(self.top, self.cfg, i, self.model, self.scenarios)
             if len(self._draws) >= self.DRAW_CACHE_CAP:
                 self._draws.pop(next(iter(self._draws)))

@@ -24,7 +24,7 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".coordinator": "DistDispatcher",
     ".manifest": "NotDistributable build_tasks campaign_to_manifest manifest_to_campaign",
-    ".queue": "Lease QueueStatus QueueTask QueueUnavailable WorkQueue payload_result "
-    "result_payload task_id",
-    ".worker": "DistWorker WorkerStats default_owner",
+    ".queue": "Lease QueueStatus QueueTask QueueUnavailable WorkQueue default_owner "
+    "payload_result result_payload task_id",
+    ".worker": "DistWorker WorkerStats",
 })

@@ -14,12 +14,22 @@ queue (manifest + one content-addressed task per miss), sweeps
 ``results/`` for committed payloads, writes error records for tasks
 whose retry budget is exhausted, watches fleet liveness, and degrades to
 the fork-pool backend when nobody is working and nobody is coming.  It
-executes nothing itself (until fallback) and yields each task's result
+executes no run itself (until fallback) and yields each task's result
 exactly once, in discovery order; the pipeline's merger
-(:mod:`repro.core.pipeline`) puts them back in canonical order.  It
-builds the background pool only for a fallback or for an exhausted
-task's error record; a campaign the fleet finishes costs the coordinator
-no pool.  Any campaign with misses can use it, cached ones included.
+(:mod:`repro.core.pipeline`) puts them back in canonical order.  Any
+campaign with misses can use it, cached ones included.
+
+The background pool is solved here, once: after writing the manifest,
+while the fleet starts up, the coordinator solves the pool slots its
+unfinished tasks read, in the order they first read them, and
+publishes each to the queue's ``pool/`` under a renewed ``pool`` lease
+(created before the manifest, so a worker never misses it).  Workers
+load the slots instead of solving them; a fallback or an exhausted
+task's error record loads them back the same way.  A queue with no slot
+to publish costs the coordinator no engine at all.  Between sweeps it
+waits on the queue's ``doorbell`` FIFO, which a worker on the same host
+rings after each commit, so a result is merged within milliseconds; the
+``poll`` still bounds the wait.
 Every payload it writes or reads goes through
 :func:`repro.dist.queue.result_payload` / :func:`~repro.dist.queue.payload_result`,
 as a worker's does.
@@ -35,10 +45,13 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
-from repro.core.experiment import _effective_jobs
+from repro.core.experiment import CampaignBackground, _effective_jobs, sample_slot
 from repro.core.pipeline import CampaignJob, RunTask, TaskResult
 from repro.dist.manifest import campaign_to_manifest
 from repro.dist.queue import (
+    Doorbell,
+    Lease,
+    LeaseRenewer,
     QueueTask,
     QueueUnavailable,
     WorkQueue,
@@ -53,6 +66,18 @@ COORDINATOR_BACKOFF = BackoffPolicy(base=0.2, cap=10.0)
 
 #: seconds of (no progress ∧ no live lease) before local fallback
 DEFAULT_FALLBACK_AFTER = 10.0
+
+
+def _pool_order(job: CampaignJob, queue: WorkQueue, tasks: list[QueueTask]) -> list[int]:
+    """The pool slots the tasks without a result read, in the order they
+    first read them (workers claim in task order); none when isolated."""
+    if job.cfg.background != "production":
+        return []
+    slot_of: dict[int, int] = {}
+    for t in tasks:
+        if t.sample not in slot_of and not queue.has_result(t.tid):
+            slot_of[t.sample] = sample_slot(job.top, job.cfg, t.sample)[2]
+    return list(dict.fromkeys(slot_of.values()))
 
 
 def _local_fallback(
@@ -112,18 +137,57 @@ class DistDispatcher:
         self.start_fields = {"queue": str(queue.root)}
 
     def run(self, job: CampaignJob, misses: list[RunTask]) -> Iterator[TaskResult]:
-        tel = job.tel
         queue = self.queue
-        worker_ids = job.worker_ids
         # every payload carries its record's line, encoded where it ran
         job.wire = True
-        manifest = campaign_to_manifest(job.top, job.cfg, tel)
+        manifest = campaign_to_manifest(job.top, job.cfg, job.tel)
         fp = manifest["fingerprint"]
         tasks = [
             QueueTask(task_id(fp, t.sample, t.mode), t.index, t.sample, t.mode) for t in misses
         ]
-        queue.create(manifest, tasks)
+        order = _pool_order(job, queue, tasks)
+        pool_lease = queue.create(manifest, tasks, pool=order)
+        doorbell = Doorbell(queue.doorbell_path)
+        try:
+            if pool_lease is not None:
+                self._publish_pool(job, fp, order, pool_lease)
+            yield from self._merge(job, tasks, doorbell)
+        finally:
+            doorbell.close()
 
+    def _publish_pool(
+        self, job: CampaignJob, fingerprint: dict, order: list[int], lease: Lease
+    ) -> None:
+        """Solve the slots ``order`` under the renewed pool ``lease``,
+        publishing each one as it is done, then expire the lease.  The
+        job's background keeps none: a fallback or an exhausted task's
+        record loads them back as a worker does (or builds the pool, if
+        one is missing)."""
+        queue = self.queue
+
+        def publish(slot: int, scenario) -> None:
+            try:
+                queue.publish_slot(fingerprint, slot, scenario.util, scenario.n_jobs, scenario.fill)
+            except QueueUnavailable:
+                pass  # whoever needs the slot builds the pool itself
+
+        job.background = CampaignBackground(
+            job.top, job.cfg, published=lambda slot: queue.wait_slot(fingerprint, slot, self.poll)
+        )
+        with LeaseRenewer(lambda: queue.renew_pool(lease), queue.ttl / 3.0):
+            job.background.solve(order, publish)
+        try:
+            queue.release_pool(lease)
+        except QueueUnavailable:
+            pass  # the lease expires on its own
+
+    def _merge(
+        self, job: CampaignJob, tasks: list[QueueTask], doorbell: Doorbell
+    ) -> Iterator[TaskResult]:
+        """Yield each task's committed result once, in discovery order."""
+        tel = job.tel
+        queue = self.queue
+        worker_ids = job.worker_ids
         m = tel.metrics
         if m.enabled:
             m.gauge("dist_queue_depth", "tasks not yet completed").set(len(tasks))
@@ -289,7 +353,7 @@ class DistDispatcher:
                     continue  # next sweep skips everything yielded
                 outage = 0
                 if len(yielded) < len(tasks) and not progressed:
-                    time.sleep(self.poll)
+                    doorbell.wait(self.poll)
             except QueueUnavailable:
                 outage += 1
                 tel.event("dist.queue_unavailable", outages=outage)

@@ -28,6 +28,25 @@ Layout under the queue root::
     heartbeats/          one ``<owner>.hb`` liveness file per busy
                          worker (mtime refreshed by guard ticks;
                          surfaced by ``repro queue-status``)
+    pool/lease           the coordinator's pool lease: owner, token,
+                         expires_at, and the slots it publishes, in
+                         order; written before the manifest, renewed
+                         while it solves, expired once it is done
+    pool/<slot>          one solved background scenario: a JSON header
+                         line (fingerprint, slot, n_jobs, fill, sha256)
+                         then the raw little-endian float64 link field
+    doorbell             a FIFO the coordinator listens on; a worker
+                         writes one byte after each commit so the
+                         coordinator wakes at once instead of at its
+                         next poll (same-host only; the poll bounds the
+                         wait everywhere else)
+
+A worker loads each background-pool slot the coordinator publishes
+instead of solving it again, and waits for a missing one while the pool
+lease is live.  A slot still missing once the lease has expired (the
+coordinator is done, or was killed), or one that fails its digest (moved
+aside as ``pool/<slot>.corrupt-<id>``), makes the worker build the pool
+itself.
 
 State machine per task, derived purely from which files exist:
 *available* (task, no unexpired lease, no result) → *claimed* (live
@@ -50,6 +69,9 @@ import errno
 import hashlib
 import json
 import os
+import select
+import stat
+import threading
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -60,6 +82,8 @@ from repro.chaos.failpoints import failpoint
 from repro.util import durable
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.core.pipeline import TaskResult
 
 MANIFEST_NAME = "manifest.json"
@@ -85,6 +109,13 @@ class QueueUnavailable(RuntimeError):
         super().__init__(f"queue {op} failed: {exc}")
         self.op = op
         self.errno = exc.errno
+
+
+def default_owner() -> str:
+    """This process's identity in leases and results: ``host:pid``."""
+    import socket  # here: a queue scan (``repro queue-status``) needs no sockets
+
+    return f"{socket.gethostname()}:{os.getpid()}"
 
 
 def task_id(fingerprint: dict, sample: int, mode: str) -> str:
@@ -180,6 +211,77 @@ class Lease:
         }
 
 
+class LeaseRenewer:
+    """Daemon thread calling ``renew()`` every ``interval`` seconds until
+    it returns False (the lease was stolen) or the block exits."""
+
+    def __init__(self, renew: Callable[[], bool], interval: float) -> None:
+        self.renew = renew
+        self.interval = interval
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-lease-renew", daemon=True
+        )
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.interval):
+            try:
+                if not self.renew():
+                    return  # stolen: stop renewing, let the commit race
+            except QueueUnavailable:
+                # the work keeps going; if the lease expires meanwhile
+                # the commit race (or a worker's own pool) settles it
+                continue
+
+    def __enter__(self) -> "LeaseRenewer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=self.interval * 3)
+
+
+class Doorbell:
+    """The coordinator's end of the queue's ``doorbell`` FIFO.
+
+    :meth:`wait` returns as soon as a worker on this host rings
+    (:meth:`WorkQueue.ring`) or after ``timeout``.  Where no FIFO can be
+    made, it sleeps ``timeout``.  The coordinator holds a write end too,
+    so the FIFO never reads as end-of-file between rings.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self._fds: list[int] = []
+        try:
+            try:
+                os.mkfifo(path)
+            except FileExistsError:
+                pass
+            if stat.S_ISFIFO(os.stat(path).st_mode):
+                self._fds.append(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+                self._fds.append(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except (OSError, AttributeError):  # no FIFOs here (or no os.mkfifo)
+            self.close()
+
+    def wait(self, timeout: float) -> None:
+        if not self._fds:
+            time.sleep(timeout)
+            return
+        ready, _, _ = select.select(self._fds[:1], [], [], timeout)
+        if ready:
+            try:
+                while os.read(self._fds[0], 4096):
+                    pass
+            except BlockingIOError:
+                pass  # drained
+
+    def close(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = []
+
+
 @dataclass
 class QueueStatus:
     """A point-in-time scan of the queue (``repro queue-status``)."""
@@ -195,6 +297,12 @@ class QueueStatus:
     workers: dict[str, float] = field(default_factory=dict)
     #: task ids whose attempts hit the retry budget
     exhausted: list[str] = field(default_factory=list)
+    #: pool slots the coordinator publishes, and how many are published
+    #: (both 0 when it publishes none)
+    pool_slots: int = 0
+    pool_published: int = 0
+    #: True while the coordinator's pool lease is live
+    pool_building: bool = False
 
     @property
     def pending(self) -> int:
@@ -230,6 +338,9 @@ class WorkQueue:
         self.tmp_dir = self.root / "tmp"
         self.bundles_dir = self.root / "bundles"
         self.heartbeats_dir = self.root / "heartbeats"
+        self.pool_dir = self.root / "pool"
+        self.pool_lease_path = self.pool_dir / "lease"
+        self.doorbell_path = self.root / "doorbell"
         self.manifest_path = self.root / MANIFEST_NAME
 
     # ------------------------------------------------------------------
@@ -264,14 +375,21 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # coordinator side: create / inspect
     # ------------------------------------------------------------------
-    def create(self, manifest: dict, tasks: list[QueueTask]) -> None:
-        """Materialize the queue: directories, then the manifest.
+    def create(
+        self, manifest: dict, tasks: list[QueueTask], *, pool: list[int] | None = None
+    ) -> Lease | None:
+        """Materialize the queue: directories, the pool lease, then the manifest.
 
         The manifest carries the task list and is written **last**
         (atomically), so a worker that sees it can trust every directory
         is already in place.  Re-creating an existing queue is idempotent
         for identical task sets — surviving results keep their
         first-commit-wins status.
+
+        With ``pool`` (the slots the coordinator will publish, in order)
+        the coordinator's pool lease is written first and returned, so
+        it is live before any worker can see a task; without it, any
+        earlier pool lease is removed.
         """
         try:
             for d in (
@@ -282,10 +400,26 @@ class WorkQueue:
                 self.tmp_dir,
                 self.bundles_dir,
                 self.heartbeats_dir,
+                self.pool_dir,
             ):
                 d.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise QueueUnavailable("create", exc) from exc
+        lease = None
+        if pool:
+            now = self._now()
+            lease = Lease(
+                tid="pool", owner=default_owner(), token=uuid.uuid4().hex, attempt=1,
+                claimed_at=now, expires_at=now + self.ttl,
+            )
+            self._write_json_atomic(
+                self.pool_lease_path, {**lease.to_dict(), "slots": pool}, op="write pool lease"
+            )
+        else:
+            try:
+                self.pool_lease_path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise QueueUnavailable("create", exc) from exc
         payload = {
             "kind": _KIND,
             "version": _VERSION,
@@ -295,6 +429,7 @@ class WorkQueue:
             **manifest,
         }
         self._write_json_atomic(self.manifest_path, payload, op="write manifest")
+        return lease
 
     def load_manifest(self) -> dict | None:
         """The manifest payload, or None while the coordinator hasn't run."""
@@ -458,6 +593,134 @@ class WorkQueue:
                 pass
 
     # ------------------------------------------------------------------
+    # the background pool: published by the coordinator, read by workers
+    # ------------------------------------------------------------------
+    def _slot_path(self, slot: int) -> Path:
+        return self.pool_dir / str(int(slot))
+
+    def renew_pool(self, lease: Lease) -> bool:
+        """Extend the pool lease; False (and ``lease.lost``) if it was
+        replaced, by a newer coordinator of the same queue."""
+        cur = self._read_json(self.pool_lease_path)
+        if cur is None or cur.get("token") != lease.token:
+            lease.lost = True
+            return False
+        lease.expires_at = self._now() + self.ttl
+        self._write_json_atomic(
+            self.pool_lease_path, {**cur, "expires_at": lease.expires_at}, op="renew pool lease"
+        )
+        return True
+
+    def release_pool(self, lease: Lease) -> None:
+        """The coordinator is done publishing: expire its pool lease.
+        The file stays, so ``queue-status`` can still count the slots."""
+        cur = self._read_json(self.pool_lease_path)
+        if cur is not None and cur.get("token") == lease.token:
+            self._write_json_atomic(
+                self.pool_lease_path, {**cur, "expires_at": 0.0}, op="release pool lease"
+            )
+
+    def pool_building(self) -> bool:
+        """True while a coordinator's pool lease is live."""
+        cur = self._read_json(self.pool_lease_path)
+        return cur is not None and float(cur.get("expires_at", 0.0)) > self._now()
+
+    def publish_slot(
+        self, fingerprint: dict, slot: int, util: np.ndarray, n_jobs: int, fill: float
+    ) -> None:
+        """Publish one solved pool scenario at ``pool/<slot>``."""
+        raw = util.astype("<f8", copy=False).tobytes()
+        header = {
+            "fingerprint": fingerprint, "slot": int(slot), "n_jobs": int(n_jobs),
+            "fill": float(fill), "sha256": hashlib.sha256(raw).hexdigest(),
+        }
+        data = (json.dumps(header) + "\n").encode() + raw
+        try:
+            durable.write_atomic(self._slot_path(slot), data, tmp_dir=self.tmp_dir)
+        except OSError as exc:
+            raise QueueUnavailable("publish pool slot", exc) from exc
+
+    def read_slot(
+        self, fingerprint: dict, slot: int
+    ) -> tuple[np.ndarray, int, float] | None:
+        """A published slot's ``(link field, n_jobs, fill)``; None while
+        it is unpublished or holds another campaign's scenario.
+
+        A slot that fails its digest is moved aside and ``ValueError``
+        raised: it is never read again.
+        """
+        path = self._slot_path(slot)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise QueueUnavailable("read pool slot", exc) from exc
+        head, _, raw = data.partition(b"\n")
+        try:
+            header = json.loads(head)
+            intact = (
+                header["sha256"] == hashlib.sha256(raw).hexdigest()
+                and header["slot"] == slot
+                and len(raw) % 8 == 0
+            )
+        except (ValueError, KeyError, TypeError):
+            intact = False
+        if not intact:
+            self._quarantine_slot(path)
+            raise ValueError(f"pool slot {slot} failed its digest; moved aside")
+        if header.get("fingerprint") != fingerprint:
+            return None
+        import numpy as np
+
+        return np.frombuffer(raw, dtype="<f8"), int(header["n_jobs"]), float(header["fill"])
+
+    def wait_slot(
+        self, fingerprint: dict, slot: int, poll: float
+    ) -> tuple[np.ndarray, int, float] | None:
+        """:meth:`read_slot`, waiting at ``poll`` while the pool lease is
+        live; None when the caller must build the pool itself (no live
+        lease and no slot, a slot that failed its digest, or no queue)."""
+        try:
+            while True:
+                building = self.pool_building()
+                got = self.read_slot(fingerprint, slot)
+                if got is not None or not building:
+                    return got
+                time.sleep(poll)
+        except (QueueUnavailable, ValueError):
+            return None
+
+    def _quarantine_slot(self, path: Path) -> None:
+        try:
+            os.replace(path, path.with_name(f"{path.name}.corrupt-{uuid.uuid4().hex[:8]}"))
+        except OSError:
+            pass  # another reader moved it first
+
+    def pool_status(self) -> tuple[int, int, bool]:
+        """``(published, slots, building)`` of the coordinator's pool."""
+        cur = self._read_json(self.pool_lease_path)
+        if cur is None:
+            return 0, 0, False
+        slots = [int(s) for s in cur.get("slots", [])]
+        published = sum(1 for s in slots if self._slot_path(s).exists())
+        return published, len(slots), float(cur.get("expires_at", 0.0)) > self._now()
+
+    def ring(self) -> None:
+        """Wake a coordinator waiting on this host's ``doorbell``; a
+        no-op where nobody listens (``ENXIO``) or there is no FIFO."""
+        try:
+            fd = os.open(self.doorbell_path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            return
+        try:
+            os.write(fd, b"\0")
+        except OSError:
+            pass  # EAGAIN: the bell is already full of rings
+        finally:
+            os.close(fd)
+
+    # ------------------------------------------------------------------
     # results: atomic, first-commit-wins
     # ------------------------------------------------------------------
     def _result_path(self, tid: str) -> Path:
@@ -551,6 +814,7 @@ class WorkQueue:
             manifest = self.load_manifest()
             tasks = self.manifest_tasks(manifest) if manifest else []
         st = QueueStatus(total=len(tasks))
+        st.pool_published, st.pool_slots, st.pool_building = self.pool_status()
         leases = self._all_leases()
         now = self._now()
         try:

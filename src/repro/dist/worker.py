@@ -15,14 +15,18 @@ any instant and a fresh one (on any host) picks up where it left off:
   fork-pool child runs, calling the same
   :func:`repro.core.experiment.execute_run` the serial loop does and
   deriving the run's RNG stream from the same key, so the produced
-  record is byte-for-byte the serial one.
+  record is byte-for-byte the serial one.  The background-pool slot a
+  run reads is loaded from the coordinator's ``pool/`` (waiting at
+  ``poll`` while its ``pool`` lease is live); without a live lease, or
+  if a slot fails its digest, the worker builds the pool itself.
   A renewal thread re-stamps the lease every ``ttl/3``; if renewal
   discovers the lease was stolen, the run finishes anyway and the
   commit races — first-commit-wins makes the loser harmless.
 * **commit**: the complete result payload
   (:func:`repro.dist.queue.result_payload`: the record's checkpoint
   ``line``, encoded once here, + trace events + metrics wire) lands via
-  write-tmp → fsync → link.
+  write-tmp → fsync → link, then the worker rings the queue's
+  ``doorbell`` so a coordinator on the same host merges it at once.
 * **speculate**: when nothing is claimable but live leases remain (the
   campaign tail), re-execute the *oldest* in-flight task without taking
   its lease.  Determinism makes the duplicate byte-identical; the dedup
@@ -34,9 +38,6 @@ any instant and a fresh one (on any host) picks up where it left off:
 
 from __future__ import annotations
 
-import os
-import socket
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -44,7 +45,15 @@ from repro.chaos.failpoints import failpoint
 from repro.core.experiment import CampaignBackground, load_engine
 from repro.core.pipeline import CampaignJob, run_task
 from repro.dist.manifest import manifest_series, manifest_to_campaign
-from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue, result_payload
+from repro.dist.queue import (
+    Lease,
+    LeaseRenewer,
+    QueueTask,
+    QueueUnavailable,
+    WorkQueue,
+    default_owner,
+    result_payload,
+)
 from repro.guard import WorkerHeartbeat, set_worker_heartbeat
 from repro.telemetry import (
     MemoryTraceWriter,
@@ -56,11 +65,6 @@ from repro.util.backoff import Backoff, BackoffPolicy
 
 #: park/retry schedule for queue outages and claim contention
 WORKER_BACKOFF = BackoffPolicy(base=0.2, cap=15.0)
-
-
-def default_owner() -> str:
-    """This worker's identity in leases and results: ``host:pid``."""
-    return f"{socket.gethostname()}:{os.getpid()}"
 
 
 @dataclass
@@ -77,38 +81,6 @@ class WorkerStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-class _LeaseRenewer:
-    """Daemon thread re-stamping one lease every ``ttl/3`` seconds."""
-
-    def __init__(self, queue: WorkQueue, lease: Lease) -> None:
-        self.queue = queue
-        self.lease = lease
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-lease-renew", daemon=True
-        )
-
-    def _run(self) -> None:
-        interval = self.queue.ttl / 3.0
-        while not self._stop.wait(interval):
-            try:
-                if not self.queue.renew(self.lease):
-                    return  # stolen: stop renewing, let the commit race
-            except QueueUnavailable:
-                # the outage also stalls every would-be stealer's clock
-                # source? no — but the run keeps going; if the lease
-                # expires meanwhile the commit race still settles it
-                continue
-
-    def __enter__(self) -> "_LeaseRenewer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self.queue.ttl)
 
 
 class DistWorker:
@@ -162,14 +134,18 @@ class DistWorker:
             manifest, bundle_dir=str(self.queue.bundles_dir)
         )
         # the job's telemetry only says what each run's private one
-        # records (run_task); the first _execute builds the pool
+        # records (run_task); each _execute loads the pool slot it reads
         t = manifest.get("telemetry", {})
         tel = Telemetry(
             trace=MemoryTraceWriter() if t.get("trace") else NULL_TRACE,
             metrics=MetricsRegistry(enabled=bool(t.get("metrics"))),
             series=manifest_series(manifest),
         )
-        self._job = CampaignJob(top, cfg, CampaignBackground(top, cfg), tel, wire=True)
+        fp = manifest.get("fingerprint", {})
+        background = CampaignBackground(
+            top, cfg, published=lambda slot: self.queue.wait_slot(fp, slot, self.poll)
+        )
+        self._job = CampaignJob(top, cfg, background, tel, wire=True)
         # every task runs the engine: load it before the first lease
         load_engine()
         self._tasks = self.queue.manifest_tasks(manifest)
@@ -193,7 +169,8 @@ class DistWorker:
     # ------------------------------------------------------------------
     def _execute(self, task: QueueTask, *, speculative: bool, attempt: int) -> dict:
         """Run one task and build its (complete) result payload."""
-        # the first draw builds the pool, outside the heartbeat window
+        # the first draw of a sample loads (or builds) its pool slot,
+        # outside the heartbeat window
         self._job.background.draws(task.sample)
         try:
             failpoint(
@@ -208,6 +185,7 @@ class DistWorker:
 
     def _commit(self, task: QueueTask, payload: dict, *, speculative: bool) -> None:
         won = self.queue.commit_result(task.tid, payload)
+        self.queue.ring()
         if won:
             self.stats.committed += 1
             if speculative:
@@ -227,7 +205,7 @@ class DistWorker:
         if lease.reclaimed:
             self.stats.reclaims += 1
         try:
-            with _LeaseRenewer(self.queue, lease):
+            with LeaseRenewer(lambda: self.queue.renew(lease), self.queue.ttl / 3.0):
                 payload = self._execute(
                     task, speculative=False, attempt=lease.attempt
                 )

@@ -21,7 +21,8 @@ months" enters the simulation.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+import copy
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,6 +219,42 @@ class BackgroundModel:
             )
             for slot in range(n_scenarios)
         ]
+
+    def solve_pool(
+        self,
+        rng: np.random.Generator,
+        order: Sequence[int],
+        on_solved: Callable[[int, BackgroundScenario], None],
+        *,
+        reserve_nodes: int = 0,
+    ) -> None:
+        """Solve the slots ``order`` of :meth:`build_pool`, in that order.
+
+        Each slot is passed to ``on_solved(slot, scenario)`` as soon as it
+        is done, and not kept.  The draws run in slot order, as in
+        ``build_pool(..., solve=order)``: a slot is solved when reached if
+        it is next in ``order``; a slot wanted later is built then from a
+        copy of ``rng`` taken when it was reached, so every slot holds the
+        same scenario as in the eager pool.
+        """
+        pending = list(order)
+        marks: dict[int, np.random.Generator] = {}
+        slot = 0
+        while pending:
+            if pending[0] in marks:
+                on_solved(pending[0], self.build_scenario(
+                    marks.pop(pending[0]), reserve_nodes=reserve_nodes
+                ))
+            elif pending[0] == slot:
+                on_solved(slot, self.build_scenario(rng, reserve_nodes=reserve_nodes))
+                slot += 1
+            else:
+                if slot in pending:
+                    marks[slot] = copy.deepcopy(rng)
+                self.build_scenario(rng, reserve_nodes=reserve_nodes, solve=False)
+                slot += 1
+                continue
+            pending.pop(0)
 
     def sample_intensity(self, rng: np.random.Generator) -> float:
         """Per-run intensity jitter."""

@@ -84,16 +84,17 @@ def fsync_dir(path: Path | str) -> None:
 
 @contextmanager
 def staged(
-    text: str, *, tmp_dir: Path | str, name: str, post_tmp: str | None = None
+    text: str | bytes, *, tmp_dir: Path | str, name: str, post_tmp: str | None = None
 ) -> Iterator[Path]:
-    """Yield the path of a fsynced scratch file holding ``text``.
+    """Yield the path of a fsynced scratch file holding ``text`` (written
+    in binary mode when it is ``bytes``).
 
     The caller publishes it (rename, link) inside the block; the scratch
     is unlinked on every exit path, so a failed commit leaves nothing.
     """
     tmp = Path(tmp_dir) / f".{name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "wb" if isinstance(text, bytes) else "w") as f:
             f.write(text)
             f.flush()
             if post_tmp is not None:
@@ -109,7 +110,7 @@ def staged(
 
 def write_atomic(
     path: Path | str,
-    text: str,
+    text: str | bytes,
     *,
     tmp_dir: Path | str | None = None,
     post_tmp: str | None = None,

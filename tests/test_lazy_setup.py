@@ -4,7 +4,8 @@ Every campaign path resolves its background through
 :class:`repro.core.experiment.CampaignBackground`, which builds the pool
 on the first draw: all ``scenario_pool`` scenarios are drawn, but only
 those the campaign's samples read (its drawn set) get a fluid solve.
-These tests count :meth:`BackgroundModel.build_scenario` calls and pool
+A queue coordinator solves its tasks' drawn set and publishes it; its
+workers load it.  These tests count :meth:`BackgroundModel.build_scenario` calls and pool
 ``solve_fluid`` calls per process (fork children included, through
 pid-tagged log files) on each path, and check that the CLI never imports
 ``scipy`` unless a density is computed, that each command loads only the
@@ -142,9 +143,11 @@ def serial(top, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def serial8(top8):
-    """Records of the plain serial campaign on 8 groups."""
-    return _dicts(run_campaign(top8, _cfg8(), jobs=1))
+def serial8(top8, tmp_path_factory):
+    """Records and checkpoint bytes of the plain serial campaign on 8 groups."""
+    path = tmp_path_factory.mktemp("serial8") / "ck.jsonl"
+    records = run_campaign(top8, _cfg8(), jobs=1, checkpoint_path=str(path))
+    return _dicts(records), path.read_bytes()
 
 
 class TestPoolBuiltOnlyWhenNeeded:
@@ -157,7 +160,7 @@ class TestPoolBuiltOnlyWhenNeeded:
         assert drawn_slots(top8, _cfg8()) == DRAWN
         solves.reset()
         records = run_campaign(top8, _cfg8(), jobs=1)
-        assert _dicts(records) == serial8
+        assert _dicts(records) == serial8[0]
         assert solves.counts() == {os.getpid(): len(DRAWN)}
         assert _all_have_flows(solves)
 
@@ -226,7 +229,7 @@ class TestPoolBuiltOnlyWhenNeeded:
         builds.reset()
         solves.reset()
         records = run_campaign(top8, _cfg8(), jobs=2, checkpoint_path=str(ck))
-        assert _dicts(records) == serial8
+        assert _dicts(records) == serial8[0]
         assert builds.counts() == {os.getpid(): POOL}
         # the parent solves the drawn set once; its children solve none
         assert solves.counts() == {os.getpid(): len(DRAWN)}
@@ -236,14 +239,15 @@ class TestPoolBuiltOnlyWhenNeeded:
         records = run_campaign(
             top8, _cfg8(), jobs=2, checkpoint_path=str(ck), resume=True
         )
-        assert _dicts(records) == serial8
+        assert _dicts(records) == serial8[0]
         assert builds.total() == 0
 
-    def test_queue_coordinator_builds_nothing_when_the_worker_commits(
-        self, top, builds, serial, tmp_path
+    def test_queue_coordinator_solves_the_drawn_set_and_the_worker_none(
+        self, top8, solves, serial8, tmp_path
     ):
         qdir = tmp_path / "queue"
         ck = tmp_path / "dist.jsonl"
+        solves.reset()
         worker = mp.get_context("fork").Process(
             target=lambda: DistWorker(
                 WorkQueue(str(qdir)), owner="w:1", poll=0.05
@@ -252,16 +256,18 @@ class TestPoolBuiltOnlyWhenNeeded:
         worker.start()
         try:
             backend = DistDispatcher(WorkQueue(qdir), fallback_after=120.0, poll=0.05)
-            records = run_pipeline(top, _cfg(), backend, checkpoint_path=str(ck)).records
+            records = run_pipeline(top8, _cfg8(), backend, checkpoint_path=str(ck)).records
         finally:
             worker.join(timeout=60)
             if worker.is_alive():
                 worker.kill()
-        assert _dicts(records) == serial[0]
-        assert ck.read_bytes() == serial[1]
-        counts = builds.counts()
-        assert counts[os.getpid()] == 0
-        assert counts == {worker.pid: POOL}
+        assert _dicts(records) == serial8[0]
+        assert ck.read_bytes() == serial8[1]
+        # the coordinator solves and publishes the drawn set once; the
+        # worker loads every slot and solves none
+        assert solves.counts() == {os.getpid(): len(DRAWN)}
+        assert _all_have_flows(solves)
+        assert worker.exitcode == 0
 
 
 def _python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -367,11 +373,13 @@ class TestModuleSets:
         assert _loaded(imported, self.ENGINE) == []
 
     def test_queue_coordinator_loads_no_engine(self, tmp_path):
+        """A coordinator with no pool slot to publish: a ``--samples 0``
+        campaign, and an all-hit ``--cache`` replay."""
         qdir = str(tmp_path / "queue")
         env = {**self.ENV, "PYTHONPATH": str(SRC)}
         coordinator = subprocess.Popen(
             [sys.executable, "-X", "importtime", "-m", "repro", "compare", "--system",
-             "mini", "--nodes", "32", "--samples", "1", "--seed", "11", "--queue", qdir],
+             "mini", "--nodes", "32", "--samples", "0", "--seed", "11", "--queue", qdir],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
@@ -380,11 +388,21 @@ class TestModuleSets:
         finally:
             out, err = coordinator.communicate(timeout=120)
         assert worker.returncode == 0, worker.stderr
-        assert "committed=2" in worker.stdout  # the worker ran every run
+        assert "committed=0" in worker.stdout
         assert coordinator.returncode == 0, err
         imported = _imported(subprocess.CompletedProcess(coordinator.args, 0, out, err))
         assert "repro.dist.coordinator" in imported
         assert _loaded(imported, self.ENGINE) == []
+
+        compare = ["-m", "repro", "compare", "--system", "mini", "--nodes", "32",
+                   "--samples", "2", "--seed", "11", "--cache", str(tmp_path / "store"),
+                   "--queue", str(tmp_path / "replay")]
+        fill = _python(*compare[:-2], env=self.ENV)
+        assert "0 hit(s)  4 miss(es)" in fill.stdout, fill.stderr
+        proc = _python("-X", "importtime", *compare, env=self.ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert "4 hit(s)  0 miss(es)" in proc.stdout
+        assert _loaded(_imported(proc), self.ENGINE) == []
 
     def test_report_skips_numpy(self, tmp_path):
         trace = tmp_path / "t.jsonl"
