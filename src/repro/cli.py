@@ -444,9 +444,10 @@ def cmd_queue_status(args) -> int:
         f"{st.available} available  {st.expired} expired-lease  "
         f"{len(st.exhausted)} exhausted"
     )
-    if st.pool_slots:
-        building = "building, " if st.pool_building else ""
-        print(f"  pool: {building}{st.pool_published}/{st.pool_slots} slots published")
+    published, slots, building = queue.pool_status()
+    if slots:
+        state = "building, " if building else ""
+        print(f"  pool: {state}{published}/{slots} slots published")
     now = time.time()
     beats = heartbeat_ages(str(queue.heartbeats_dir), now=now)
     for owner in sorted(set(st.workers) | set(beats)):

@@ -297,12 +297,6 @@ class QueueStatus:
     workers: dict[str, float] = field(default_factory=dict)
     #: task ids whose attempts hit the retry budget
     exhausted: list[str] = field(default_factory=list)
-    #: pool slots the coordinator publishes, and how many are published
-    #: (both 0 when it publishes none)
-    pool_slots: int = 0
-    pool_published: int = 0
-    #: True while the coordinator's pool lease is live
-    pool_building: bool = False
 
     @property
     def pending(self) -> int:
@@ -698,7 +692,8 @@ class WorkQueue:
             pass  # another reader moved it first
 
     def pool_status(self) -> tuple[int, int, bool]:
-        """``(published, slots, building)`` of the coordinator's pool."""
+        """``(published, slots, building)`` of the coordinator's pool
+        (``slots`` is 0 when it publishes none)."""
         cur = self._read_json(self.pool_lease_path)
         if cur is None:
             return 0, 0, False
@@ -814,7 +809,6 @@ class WorkQueue:
             manifest = self.load_manifest()
             tasks = self.manifest_tasks(manifest) if manifest else []
         st = QueueStatus(total=len(tasks))
-        st.pool_published, st.pool_slots, st.pool_building = self.pool_status()
         leases = self._all_leases()
         now = self._now()
         try:
