@@ -15,6 +15,7 @@ from repro.scheduler.placement import (
     random_placement,
 )
 from repro.scheduler.workload import ARCHETYPE_WEIGHTS, JobSizeMix, WorkloadModel
+from repro.topology.systems import mini
 
 
 class TestFreeNodePool:
@@ -219,3 +220,22 @@ class TestBackground:
             assert part[slot].util.tobytes() == full[slot].util.tobytes()
             assert (part[slot].n_jobs, part[slot].fill) == (full[slot].n_jobs, full[slot].fill)
         assert part_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("order", [[3, 0, 2], [1, 3], [0, 1, 2, 3], [2]])
+    def test_pool_solved_in_any_order_holds_the_full_pools_slots(self, order):
+        """``solve_pool`` hands over the slots in the order asked, each one
+        the full pool's scenario, whether solved when the draws reach it
+        or later from a copy of the stream.  On 8 groups, where every slot
+        places a job (the 4-group pool is empty)."""
+        bm = BackgroundModel(mini(n_groups=8))
+        full = bm.build_pool(4, np.random.default_rng(21), reserve_nodes=32)
+        assert all(sc.n_jobs > 0 and sc.util.any() for sc in full)
+        got = []
+        bm.solve_pool(
+            np.random.default_rng(21), order, lambda slot, sc: got.append((slot, sc)),
+            reserve_nodes=32,
+        )
+        assert [slot for slot, _ in got] == order
+        for slot, sc in got:
+            assert sc.util.tobytes() == full[slot].util.tobytes()
+            assert (sc.n_jobs, sc.fill) == (full[slot].n_jobs, full[slot].fill)
