@@ -35,15 +35,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (schedule imports us)
 #: catalog and the per-site test table in lockstep.
 SITES: dict[str, str] = {
     "store.commit.post_tmp": (
-        "RunRecordStore.put, after the entry's tmp file is written but "
+        "RunRecordStore.put/put_slot, after the entry's tmp file is written but "
         "before it is fsynced (torn-write window)"
     ),
     "store.commit.pre_rename": (
-        "RunRecordStore.put, after fsync but before os.replace publishes "
+        "RunRecordStore.put/put_slot, after fsync but before os.replace publishes "
         "the entry (crash leaves only invisible scratch)"
     ),
     "store.get.read": (
-        "RunRecordStore.get, before the entry file is read (an EIO here "
+        "RunRecordStore.get/get_slot, before the entry file is read (an EIO here "
         "must degrade to a cache miss)"
     ),
     "checkpoint.append": (

@@ -502,10 +502,11 @@ def resolve_scenarios(
     """The ``(model, scenario pool)`` a campaign samples its background from.
 
     A pure function of ``(top, cfg)``: the pool RNG is derived from the
-    campaign seed, and only the slots in :func:`drawn_slots` are solved,
-    so any process (a ``-j`` child, a queue worker, the service) rebuilds
-    the identical pool from the config alone.  The other slots are
-    ``None``.  Isolated campaigns have neither model nor pool.
+    campaign seed, and only the slots in :func:`drawn_slots` are solved
+    (in slot order, drawing no slot after the last of them), so any
+    process (a ``-j`` child, a queue worker, the service) rebuilds the
+    identical pool from the config alone.  The other slots are ``None``.
+    Isolated campaigns have neither model nor pool.
 
     With ``order``, only those slots are solved, in that order, and each
     is passed to ``on_solved`` as soon as it is done
@@ -516,15 +517,10 @@ def resolve_scenarios(
     if cfg.background == "production":
         bm = scheduler.BackgroundModel(top)
         pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
-        if order is not None:
-            bm.solve_pool(pool_rng, order, on_solved, reserve_nodes=cfg.n_nodes)
-            return bm, [None] * cfg.scenario_pool
-        scenarios = bm.build_pool(
-            cfg.scenario_pool,
-            pool_rng,
-            reserve_nodes=cfg.n_nodes,
-            solve=drawn_slots(top, cfg),
-        )
+        scenarios: list[scheduler.BackgroundScenario | None] = [None] * cfg.scenario_pool
+        if order is None:
+            order, on_solved = sorted(drawn_slots(top, cfg)), scenarios.__setitem__
+        bm.solve_pool(pool_rng, order, on_solved, reserve_nodes=cfg.n_nodes)
         return bm, scenarios
     if cfg.background != "isolated":
         raise ValueError(f"unknown background kind {cfg.background!r}")

@@ -29,12 +29,15 @@ Layout under the queue root::
                          worker (mtime refreshed by guard ticks;
                          surfaced by ``repro queue-status``)
     pool/lease           the coordinator's pool lease: owner, token,
-                         expires_at, and the slots it publishes, in
-                         order; written before the manifest, renewed
-                         while it solves, expired once it is done
-    pool/<slot>          one solved background scenario: a JSON header
-                         line (fingerprint, slot, n_jobs, fill, sha256)
-                         then the raw little-endian float64 link field
+                         expires_at, the campaign fingerprint and the
+                         slots it publishes, in order; written before
+                         the manifest, renewed while it solves, expired
+                         once it is done
+    pool/entries/        the solved background scenarios, one
+                         ``repro-pool-slot`` entry of the result store
+                         (:mod:`repro.service.store`) per slot, keyed
+                         by (fingerprint, slot); with the store's own
+                         ``pool/tmp/`` scratch and ``pool/quarantine/``
     doorbell             a FIFO the coordinator listens on; a worker
                          writes one byte after each commit so the
                          coordinator wakes at once instead of at its
@@ -45,8 +48,7 @@ A worker loads each background-pool slot the coordinator publishes
 instead of solving it again, and waits for a missing one while the pool
 lease is live.  A slot still missing once the lease has expired (the
 coordinator is done, or was killed), or one that fails its digest (moved
-aside as ``pool/<slot>.corrupt-<id>``), makes the worker build the pool
-itself.
+to ``pool/quarantine/``), makes the worker build the pool itself.
 
 State machine per task, derived purely from which files exist:
 *available* (task, no unexpired lease, no result) → *claimed* (live
@@ -66,6 +68,7 @@ NFS blips and full disks instead of crashing.
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -79,6 +82,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.chaos.failpoints import failpoint
+from repro.service.store import RunRecordStore, slot_key
 from repro.util import durable
 
 if TYPE_CHECKING:
@@ -394,11 +398,11 @@ class WorkQueue:
                 self.tmp_dir,
                 self.bundles_dir,
                 self.heartbeats_dir,
-                self.pool_dir,
             ):
                 d.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise QueueUnavailable("create", exc) from exc
+        self.pool_store  # lays out pool/, before any worker reads it
         lease = None
         if pool:
             now = self._now()
@@ -406,9 +410,8 @@ class WorkQueue:
                 tid="pool", owner=default_owner(), token=uuid.uuid4().hex, attempt=1,
                 claimed_at=now, expires_at=now + self.ttl,
             )
-            self._write_json_atomic(
-                self.pool_lease_path, {**lease.to_dict(), "slots": pool}, op="write pool lease"
-            )
+            payload = {**lease.to_dict(), "slots": pool, "fingerprint": manifest.get("fingerprint")}
+            self._write_json_atomic(self.pool_lease_path, payload, op="write pool lease")
         else:
             try:
                 self.pool_lease_path.unlink(missing_ok=True)
@@ -589,8 +592,14 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # the background pool: published by the coordinator, read by workers
     # ------------------------------------------------------------------
-    def _slot_path(self, slot: int) -> Path:
-        return self.pool_dir / str(int(slot))
+    @functools.cached_property
+    def pool_store(self) -> RunRecordStore:
+        """The store the published slots live in, laid out under ``pool/``
+        on first use."""
+        try:
+            return RunRecordStore(self.pool_dir)
+        except OSError as exc:
+            raise QueueUnavailable("open pool store", exc) from exc
 
     def renew_pool(self, lease: Lease) -> bool:
         """Extend the pool lease; False (and ``lease.lost``) if it was
@@ -622,15 +631,9 @@ class WorkQueue:
     def publish_slot(
         self, fingerprint: dict, slot: int, util: np.ndarray, n_jobs: int, fill: float
     ) -> None:
-        """Publish one solved pool scenario at ``pool/<slot>``."""
-        raw = util.astype("<f8", copy=False).tobytes()
-        header = {
-            "fingerprint": fingerprint, "slot": int(slot), "n_jobs": int(n_jobs),
-            "fill": float(fill), "sha256": hashlib.sha256(raw).hexdigest(),
-        }
-        data = (json.dumps(header) + "\n").encode() + raw
+        """Publish one solved pool scenario as a ``pool/`` store entry."""
         try:
-            durable.write_atomic(self._slot_path(slot), data, tmp_dir=self.tmp_dir)
+            self.pool_store.put_slot(fingerprint, slot, util, n_jobs, fill)
         except OSError as exc:
             raise QueueUnavailable("publish pool slot", exc) from exc
 
@@ -638,36 +641,17 @@ class WorkQueue:
         self, fingerprint: dict, slot: int
     ) -> tuple[np.ndarray, int, float] | None:
         """A published slot's ``(link field, n_jobs, fill)``; None while
-        it is unpublished or holds another campaign's scenario.
+        it is unpublished.
 
-        A slot that fails its digest is moved aside and ``ValueError``
+        A slot that fails its digest is quarantined and ``ValueError``
         raised: it is never read again.
         """
-        path = self._slot_path(slot)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise QueueUnavailable("read pool slot", exc) from exc
-        head, _, raw = data.partition(b"\n")
-        try:
-            header = json.loads(head)
-            intact = (
-                header["sha256"] == hashlib.sha256(raw).hexdigest()
-                and header["slot"] == slot
-                and len(raw) % 8 == 0
-            )
-        except (ValueError, KeyError, TypeError):
-            intact = False
-        if not intact:
-            self._quarantine_slot(path)
+        store = self.pool_store
+        quarantined = store.quarantined
+        got = store.get_slot(fingerprint, slot)
+        if got is None and store.quarantined > quarantined:
             raise ValueError(f"pool slot {slot} failed its digest; moved aside")
-        if header.get("fingerprint") != fingerprint:
-            return None
-        import numpy as np
-
-        return np.frombuffer(raw, dtype="<f8"), int(header["n_jobs"]), float(header["fill"])
+        return got
 
     def wait_slot(
         self, fingerprint: dict, slot: int, poll: float
@@ -685,12 +669,6 @@ class WorkQueue:
         except (QueueUnavailable, ValueError):
             return None
 
-    def _quarantine_slot(self, path: Path) -> None:
-        try:
-            os.replace(path, path.with_name(f"{path.name}.corrupt-{uuid.uuid4().hex[:8]}"))
-        except OSError:
-            pass  # another reader moved it first
-
     def pool_status(self) -> tuple[int, int, bool]:
         """``(published, slots, building)`` of the coordinator's pool
         (``slots`` is 0 when it publishes none)."""
@@ -698,7 +676,7 @@ class WorkQueue:
         if cur is None:
             return 0, 0, False
         slots = [int(s) for s in cur.get("slots", [])]
-        published = sum(1 for s in slots if self._slot_path(s).exists())
+        published = sum(1 for s in slots if slot_key(cur.get("fingerprint"), s) in self.pool_store)
         return published, len(slots), float(cur.get("expires_at", 0.0)) > self._now()
 
     def ring(self) -> None:

@@ -27,13 +27,6 @@ class LdmsSample:
     #: end-of-run residual emitted by :meth:`LdmsCollector.finalize`)
     partial: bool = False
 
-    def totals(self) -> dict[str, tuple[float, float]]:
-        """Per-class (flits, stalls) totals for the interval."""
-        return {
-            c: (float(self.delta.flits[c].sum()), float(self.delta.stalls[c].sum()))
-            for c in TILE_CLASSES
-        }
-
 
 class LdmsCollector:
     """Samples a :class:`CounterBank` on a periodic cadence.

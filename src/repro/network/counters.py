@@ -175,7 +175,3 @@ class CounterBank:
     def per_tile_flits(self, cls: str) -> np.ndarray:
         """Mean flits per physical tile of ``cls`` on each router."""
         return self._flits[cls] / self.top.tiles.count_for(cls)
-
-    def per_tile_stalls(self, cls: str) -> np.ndarray:
-        """Mean stalls per physical tile of ``cls`` on each router."""
-        return self._stalls[cls] / self.top.tiles.count_for(cls)

@@ -197,10 +197,6 @@ class FluidResult:
     link_flits: np.ndarray | None = None
     link_stalls: np.ndarray | None = None
 
-    def utilization_field(self) -> np.ndarray:
-        """Per-link utilization (for use as another solve's background)."""
-        return self.link_util
-
     def accumulate_counters(self, bank: CounterBank, top: DragonflyTopology) -> None:
         """Scatter this phase's flit/stall increments into a counter bank."""
         active = np.flatnonzero(self.link_flits > 0)

@@ -22,7 +22,7 @@ months" enters the simulation.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,30 +196,6 @@ class BackgroundModel:
             default_env=self.default_env,
         )
 
-    def build_pool(
-        self,
-        n_scenarios: int,
-        rng: np.random.Generator,
-        *,
-        reserve_nodes: int = 0,
-        solve: Collection[int] | None = None,
-    ) -> list[BackgroundScenario | None]:
-        """Pre-build a pool of scenarios for campaign sampling.
-
-        ``solve`` names the slots to solve (default: all); every other
-        slot is ``None``.  Each slot draws from ``rng`` in order whether
-        solved or not, so a solved slot holds the same scenario as in
-        the full pool, while an unsolved one builds no path table.
-        """
-        return [
-            self.build_scenario(
-                rng,
-                reserve_nodes=reserve_nodes,
-                solve=solve is None or slot in solve,
-            )
-            for slot in range(n_scenarios)
-        ]
-
     def solve_pool(
         self,
         rng: np.random.Generator,
@@ -228,14 +204,16 @@ class BackgroundModel:
         *,
         reserve_nodes: int = 0,
     ) -> None:
-        """Solve the slots ``order`` of :meth:`build_pool`, in that order.
+        """Solve the pool slots ``order``, in that order.
 
         Each slot is passed to ``on_solved(slot, scenario)`` as soon as it
-        is done, and not kept.  The draws run in slot order, as in
-        ``build_pool(..., solve=order)``: a slot is solved when reached if
-        it is next in ``order``; a slot wanted later is built then from a
-        copy of ``rng`` taken when it was reached, so every slot holds the
-        same scenario as in the eager pool.
+        is done, and not kept.  The draws run in slot order, one
+        :meth:`build_scenario` per slot from ``rng``: a slot is solved when
+        reached if it is next in ``order``, and any other slot only draws
+        (``solve=False``), so slot ``k`` holds the same scenario whichever
+        slots are solved.  A slot wanted later is built then from a copy
+        of ``rng`` taken when it was reached; a sorted ``order`` takes no
+        copy.  The draws stop after the last slot in ``order``.
         """
         pending = list(order)
         marks: dict[int, np.random.Generator] = {}

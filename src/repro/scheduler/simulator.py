@@ -54,9 +54,6 @@ class ScheduleTrace:
     utilization: np.ndarray  # fraction of nodes busy per sample
     active_at: list[list[ScheduledJob]]  # running jobs per sample
 
-    def completed(self) -> list[ScheduledJob]:
-        return [j for j in self.jobs if j.ran and j.end <= self.sample_times[-1]]
-
     def mean_wait_hours(self) -> float:
         waits = [j.wait for j in self.jobs if j.ran]
         return float(np.mean(waits)) if waits else 0.0

@@ -1,33 +1,42 @@
-"""Durable content-addressed RunRecord store (the memoization layer).
+"""Durable content-addressed entry store (the memoization layer).
 
 Every campaign run is already a pure function of its content address:
 the campaign fingerprint (:func:`repro.core.experiment.campaign_fingerprint`)
 plus the run's stateless RNG key ``(sample, mode)`` fully determine the
-produced :class:`~repro.core.experiment.RunRecord`, byte for byte.  The
-store turns that property into a cache that is safe to share between
-campaigns, processes, and service restarts:
+produced :class:`~repro.core.experiment.RunRecord`, byte for byte, and
+the fingerprint plus a slot number determine a background-pool scenario.
+The store turns that property into a cache that is safe to share between
+campaigns, processes, and service restarts.  It holds two kinds of entry:
+
+* a **run** (kind ``repro-run-cache``): header fields ``fingerprint`` and
+  ``rng_key``; the body is the record's checkpoint line, byte for byte
+  (:func:`repro.core.checkpoint.encode_record`).  A hit decodes that line
+  once and hands its bytes on to the checkpoint.
+* a **pool slot** (kind ``repro-pool-slot``): header fields
+  ``fingerprint``, ``slot``, ``n_jobs`` and ``fill``; the body is the
+  scenario's raw little-endian float64 link field.  A queue coordinator
+  publishes its solved pool this way (:mod:`repro.dist.queue`).
 
 * **Commit protocol** — an entry lands via write-tmp → fsync →
   ``os.replace``, so a SIGKILL at any instant leaves either nothing
   visible or a complete entry; concurrent writers of the same key are
   harmless because deterministic duplicates are byte-identical.
-* **Layout** — an entry is two lines: a header (kind, version 2, key,
-  fingerprint, RNG key, SHA-256) and the record's checkpoint line,
-  byte for byte (:func:`repro.core.checkpoint.encode_record`).  A hit
-  decodes that line once and hands its bytes on to the checkpoint.
-* **Integrity** — the header's SHA-256 covers the canonical
-  ``(fingerprint, rng_key)`` JSON plus the line's exact bytes.  A read
-  that fails to parse, fails the hash, or was addressed to a different
-  identity is **quarantined** (moved aside, never served, never raised)
-  and counts as a miss — a torn or bit-flipped entry can slow a campaign
-  down but can never corrupt one.  So is an entry of another version
-  (a version-1 entry is re-executed and recommitted once).
+* **Layout** — an entry is a JSON header line (kind, version 2, key, the
+  kind's fields, SHA-256), the body, and a newline.
+* **Integrity** — one rule for both kinds: the header's SHA-256 covers
+  the canonical JSON of every header field except ``kind``, ``version``,
+  ``key`` and ``sha256``, a newline, then the body.  A read that fails
+  to parse, fails the hash, or was addressed to a different identity is
+  **quarantined** (moved aside, never served, never raised) and counts
+  as a miss — a torn or bit-flipped entry can slow a campaign down but
+  can never corrupt one.  So is an entry of another version (a version-1
+  entry is re-executed and recommitted once).
 * **Eviction** — optional ``max_bytes`` / ``max_entries`` budgets are
   enforced LRU (entry-file mtime, refreshed on every hit).  Keys pinned
   by an in-flight campaign (:meth:`RunRecordStore.pinned`) are never
   evicted mid-use.
 
-The entry key hashes the same ``{"config": fingerprint, "rng_key":
+A run's key hashes the same ``{"config": fingerprint, "rng_key":
 {"sample", "mode"}}`` structure as :func:`repro.dist.queue.task_id`, so
 a cache entry, a queue task, and a checkpoint record for the same run
 all share one content address (the store keeps more digest bits).
@@ -43,16 +52,25 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.chaos.failpoints import failpoint
 from repro.util import durable
 from repro.util.durable import StoreUnavailableError
 
-__all__ = ["CacheStats", "CachedRecord", "RunRecordStore", "StoreUnavailableError", "entry_key"]
+if TYPE_CHECKING:
+    import numpy as np
 
-_KIND = "repro-run-cache"
+__all__ = [
+    "CacheStats", "CachedRecord", "RunRecordStore", "StoreUnavailableError", "entry_key",
+    "slot_key",
+]
+
+_RUN = "repro-run-cache"
+_SLOT = "repro-pool-slot"
 _VERSION = 2
+#: header fields outside the digest: the frame, not the entry's content
+_FRAME = ("kind", "version", "key", "sha256")
 
 #: hex digits of SHA-256 kept in entry keys (collision odds are
 #: negligible at any realistic cache size; the full hash guards content)
@@ -63,34 +81,41 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _key(payload: dict) -> str:
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:KEY_LEN]
+
+
 def entry_key(fingerprint: dict, sample: int, mode: str) -> str:
     """Content address of one run: campaign fingerprint + RNG key."""
-    key = {"config": fingerprint, "rng_key": {"sample": sample, "mode": mode}}
-    return hashlib.sha256(_canonical(key).encode()).hexdigest()[:KEY_LEN]
+    return _key({"config": fingerprint, "rng_key": {"sample": sample, "mode": mode}})
 
 
-def _entry_digest(fingerprint: dict, rng_key: dict, line: bytes) -> str:
-    ident = _canonical({"fingerprint": fingerprint, "rng_key": rng_key}) + "\n"
-    return hashlib.sha256(ident.encode() + line).hexdigest()
+def slot_key(fingerprint: dict, slot: int) -> str:
+    """Content address of one background-pool slot of a campaign."""
+    return _key({"config": fingerprint, "slot": int(slot)})
+
+
+def _digest(fields: dict, body: bytes) -> str:
+    return hashlib.sha256((_canonical(fields) + "\n").encode() + body).hexdigest()
 
 
 def _parse_entry(raw: bytes) -> tuple[dict, bytes] | None:
-    """An entry's header and line, or None unless ``raw`` is two complete
-    lines of this kind and version whose digest holds."""
-    parts = raw.split(b"\n")
+    """An entry's header and body, or None unless ``raw`` is a header
+    line of a known kind and this version, a body and a newline, whose
+    digest holds."""
+    head, _, rest = raw.partition(b"\n")
     try:
-        header = json.loads(parts[0])
+        header = json.loads(head)
+        fields = {k: v for k, v in header.items() if k not in _FRAME}
         valid = (
-            len(parts) == 3
-            and not parts[2]
-            and header["kind"] == _KIND
+            rest.endswith(b"\n")
+            and header["kind"] in (_RUN, _SLOT)
             and header["version"] == _VERSION
-            and header["sha256"]
-            == _entry_digest(header["fingerprint"], header["rng_key"], parts[1])
+            and header["sha256"] == _digest(fields, rest[:-1])
         )
-    except (ValueError, TypeError, KeyError):  # not JSON, or not a header
+    except (ValueError, TypeError, KeyError, AttributeError):  # not JSON, or not a header
         return None
-    return (header, parts[1]) if valid else None
+    return (header, rest[:-1]) if valid else None
 
 
 class CachedRecord(dict):
@@ -133,7 +158,8 @@ class CacheStats:
 
 
 class RunRecordStore:
-    """One cache directory of committed run records (see module docstring).
+    """One cache directory of committed run records and pool slots (see
+    the module docstring).
 
     Thread-safe: the HTTP service reads and writes from several campaign
     threads at once.  Multi-process sharing is safe for correctness
@@ -196,28 +222,20 @@ class RunRecordStore:
                 return  # someone else moved it; either way it is gone
         self.quarantined += 1
 
-    def get(self, fingerprint: dict, sample: int, mode: str) -> CachedRecord | None:
-        """The cached record for one run, or ``None`` on a miss.
-
-        Never raises on a damaged entry: parse failures, integrity-hash
-        mismatches, identity mismatches and other versions quarantine the
-        file and return ``None`` — the caller simply re-executes the run.
-        """
-        key = entry_key(fingerprint, sample, mode)
+    def _get(self, key: str, ident: dict) -> tuple[dict, bytes] | None:
+        """Entry ``key``'s header and body if the header carries
+        ``ident``, or ``None`` on a miss; a damaged entry is quarantined
+        first."""
         path = self._path(key)
         with self._lock:
             try:
                 failpoint("store.get.read", path=path)
                 raw = path.read_bytes()
-            except FileNotFoundError:
-                self.misses += 1
-                return None
             except OSError:
                 self.misses += 1
                 return None
-            header, line = _parse_entry(raw) or ({}, b"")
-            rng_key = {"sample": sample, "mode": mode}
-            if header.get("fingerprint") != fingerprint or header.get("rng_key") != rng_key:
+            header, body = _parse_entry(raw) or ({}, b"")
+            if any(header.get(k) != v for k, v in ident.items()):
                 self._quarantine(path)
                 self.misses += 1
                 return None
@@ -226,9 +244,50 @@ class RunRecordStore:
             except OSError:
                 pass
             self.hits += 1
-            hit = CachedRecord(json.loads(line))
-            hit.line = line.decode()
-            return hit
+            return header, body
+
+    def _put(self, kind: str, key: str, fields: dict, body: bytes) -> bool:
+        """Commit one entry; ``False`` when ``key`` already exists."""
+        path = self._path(key)
+        header = {"kind": kind, "version": _VERSION, "key": key, **fields,
+                  "sha256": _digest(fields, body)}
+        data = json.dumps(header).encode() + b"\n" + body + b"\n"
+        with self._lock:
+            if path.exists():
+                self.dedup_puts += 1
+                return False
+            try:
+                durable.write_atomic(
+                    path,
+                    data,
+                    tmp_dir=self.tmp_dir,
+                    post_tmp="store.commit.post_tmp",
+                    pre_rename="store.commit.pre_rename",
+                )
+            except OSError as exc:
+                raise StoreUnavailableError("cache entry commit", exc) from exc
+            self.puts += 1
+            self._evict_to_budget()
+            return True
+
+    def get(self, fingerprint: dict, sample: int, mode: str) -> CachedRecord | None:
+        """The cached record for one run, or ``None`` on a miss.
+
+        Never raises on a damaged entry: parse failures, integrity-hash
+        mismatches, identity mismatches and other versions quarantine the
+        file and return ``None`` — the caller simply re-executes the run.
+        """
+        rng_key = {"sample": sample, "mode": mode}
+        got = self._get(
+            entry_key(fingerprint, sample, mode),
+            {"kind": _RUN, "fingerprint": fingerprint, "rng_key": rng_key},
+        )
+        if got is None:
+            return None
+        line = got[1]
+        hit = CachedRecord(json.loads(line))
+        hit.line = line.decode()
+        return hit
 
     def put(self, fingerprint: dict, sample: int, mode: str, record: str | dict) -> bool:
         """Commit one run's checkpoint line (a dict is encoded to one);
@@ -242,35 +301,35 @@ class RunRecordStore:
         when the filesystem fails the commit (ENOSPC/EIO); the scratch
         file is removed first, so a failed put leaves nothing behind.
         """
-        key = entry_key(fingerprint, sample, mode)
-        path = self._path(key)
         line = record if isinstance(record, str) else json.dumps(record)
-        rng_key = {"sample": sample, "mode": mode}
-        header = {
-            "kind": _KIND,
-            "version": _VERSION,
-            "key": key,
-            "fingerprint": fingerprint,
-            "rng_key": rng_key,
-            "sha256": _entry_digest(fingerprint, rng_key, line.encode()),
-        }
-        with self._lock:
-            if path.exists():
-                self.dedup_puts += 1
-                return False
-            try:
-                durable.write_atomic(
-                    path,
-                    f"{json.dumps(header)}\n{line}\n",
-                    tmp_dir=self.tmp_dir,
-                    post_tmp="store.commit.post_tmp",
-                    pre_rename="store.commit.pre_rename",
-                )
-            except OSError as exc:
-                raise StoreUnavailableError("cache entry commit", exc) from exc
-            self.puts += 1
-            self._evict_to_budget()
-            return True
+        fields = {"fingerprint": fingerprint, "rng_key": {"sample": sample, "mode": mode}}
+        return self._put(_RUN, entry_key(fingerprint, sample, mode), fields, line.encode())
+
+    def get_slot(
+        self, fingerprint: dict, slot: int
+    ) -> tuple[np.ndarray, int, float] | None:
+        """A committed pool slot's ``(link field, n_jobs, fill)``, or
+        ``None`` on a miss (a damaged entry is quarantined, as by :meth:`get`)."""
+        got = self._get(
+            slot_key(fingerprint, slot), {"kind": _SLOT, "fingerprint": fingerprint, "slot": slot}
+        )
+        if got is None:
+            return None
+        import numpy as np  # here: a run-record replay loads no numpy for the store
+
+        header, body = got
+        return np.frombuffer(body, dtype="<f8"), int(header["n_jobs"]), float(header["fill"])
+
+    def put_slot(
+        self, fingerprint: dict, slot: int, util: np.ndarray, n_jobs: int, fill: float
+    ) -> bool:
+        """Commit one solved pool slot; ``False`` when it already exists.
+        Raises as :meth:`put` does."""
+        fields = {"fingerprint": fingerprint, "slot": int(slot), "n_jobs": int(n_jobs),
+                  "fill": float(fill)}
+        return self._put(
+            _SLOT, slot_key(fingerprint, slot), fields, util.astype("<f8", copy=False).tobytes()
+        )
 
     # ------------------------------------------------------------------
     # pinning: in-flight campaigns protect their working set
@@ -292,10 +351,6 @@ class RunRecordStore:
                         self._pins.pop(k, None)
                     else:
                         self._pins[k] = n
-
-    def pinned_keys(self) -> set[str]:
-        with self._lock:
-            return set(self._pins)
 
     # ------------------------------------------------------------------
     # eviction

@@ -208,10 +208,6 @@ class CounterSeries:
     def total_stalls(self) -> float:
         return sum(w.stalls for w in self.windows)
 
-    def ratios(self) -> list[float]:
-        """Per-window stall-to-flit health ratios."""
-        return [w.ratio for w in self.windows]
-
     def to_dict(self) -> dict:
         d = {
             "cadence": self.cadence,

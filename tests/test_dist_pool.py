@@ -25,6 +25,7 @@ from repro.core.experiment import CampaignConfig, run_campaign, sample_slot
 from repro.core.pipeline import run_pipeline
 from repro.dist import DistDispatcher, WorkQueue, coordinator
 from repro.dist.queue import Doorbell
+from repro.service.store import slot_key
 from repro.topology.systems import mini
 
 pytestmark = pytest.mark.filterwarnings(
@@ -217,7 +218,7 @@ def test_corrupt_slot_is_quarantined_and_the_pool_rebuilt(top, serial, tmp_path)
     coord = _Coordinator(top, qdir, tmp_path / "dist.jsonl")
     coord.start()
     _wait_until(lambda: q.pool_status() == (len(ORDER), len(ORDER), False), "the pool")
-    slot = q.pool_dir / str(ORDER[0])
+    slot = q.pool_store._path(slot_key(q.load_manifest()["fingerprint"], ORDER[0]))
     data = bytearray(slot.read_bytes())
     data[-1] ^= 0x01
     slot.write_bytes(bytes(data))
@@ -226,7 +227,7 @@ def test_corrupt_slot_is_quarantined_and_the_pool_rebuilt(top, serial, tmp_path)
     coord.finish()
     assert (tmp_path / "dist.jsonl").read_bytes() == serial
     assert not slot.exists()
-    assert len(list(q.pool_dir.glob(f"{ORDER[0]}.corrupt-*"))) == 1
+    assert len(list(q.pool_store.quarantine_dir.glob(f"{slot.name}.*"))) == 1
     assert "committed=6" in worker_out
     assert _pool_solves(worker_err) == len(ORDER)
 

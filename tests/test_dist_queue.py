@@ -171,6 +171,46 @@ class TestClaiming:
         assert q.try_claim(tasks[0].tid, "w1") is None
 
 
+class TestPoolLease:
+    """The coordinator's pool lease: renewed while it solves, lost to a
+    newer coordinator of the same queue, expired once it is done."""
+
+    def _pool(self, tmp_path):
+        clock = Clock()
+        q = WorkQueue(tmp_path / "q", now=clock, ttl=30.0)
+        return q, q.create({"fingerprint": FP}, [], pool=[2, 0]), clock
+
+    def test_renew_pool_extends_expiry(self, tmp_path):
+        q, lease, clock = self._pool(tmp_path)
+        clock.advance(20.0)
+        assert q.renew_pool(lease) is True
+        assert lease.expires_at == clock() + 30.0
+        assert json.loads(q.pool_lease_path.read_text())["expires_at"] == lease.expires_at
+        clock.advance(20.0)  # 40s after create, but renewed at +20
+        assert q.pool_building()
+        clock.advance(11.0)
+        assert not q.pool_building()
+
+    def test_a_recreated_queue_takes_the_pool_lease(self, tmp_path):
+        q, old, clock = self._pool(tmp_path)
+        new = WorkQueue(q.root, now=clock).create({"fingerprint": FP}, [], pool=[2, 0])
+        assert q.renew_pool(old) is False
+        assert old.lost
+        assert q.renew_pool(new) is True
+        assert not new.lost
+
+    def test_release_pool_expires_the_lease_and_keeps_the_count(self, tmp_path):
+        import numpy as np
+
+        q, lease, _ = self._pool(tmp_path)
+        q.publish_slot(FP, 2, np.linspace(0.0, 0.9, 5), 1, 0.5)
+        assert q.pool_status() == (1, 2, True)
+        q.release_pool(lease)
+        assert not q.pool_building()
+        assert q.pool_status() == (1, 2, False)
+        assert q.wait_slot(FP, 0, poll=0.01) is None  # nothing left to wait for
+
+
 class TestRetryBudget:
     def test_exhaustion_after_repeated_expiry(self, tmp_path):
         q, tasks, clock = make_queue(tmp_path)  # budget 3
@@ -264,6 +304,16 @@ class TestOutages:
         shutil.rmtree(q.root)
         with pytest.raises(QueueUnavailable):
             q.commit_result(tasks[0].tid, {"index": 0})
+
+    def test_a_missing_queue_stays_missing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "never-created"
+        q = WorkQueue(root)
+        assert q.pool_status() == (0, 0, False)
+        assert main(["queue-status", "--queue", str(root)]) == 0
+        assert "no manifest yet" in capsys.readouterr().out
+        assert not root.exists()
 
     def test_scans_survive_missing_subdirs(self, tmp_path):
         q = WorkQueue(tmp_path / "half")

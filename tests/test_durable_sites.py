@@ -41,9 +41,6 @@ ALLOWED = {
     ("repro.service.store", "RunRecordStore._quarantine"): (
         "moves a damaged entry aside; no bytes are written"
     ),
-    ("repro.dist.queue", "WorkQueue._quarantine_slot"): (
-        "moves a pool slot that failed its digest aside; no bytes are written"
-    ),
 }
 
 

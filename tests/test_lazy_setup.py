@@ -2,8 +2,9 @@
 
 Every campaign path resolves its background through
 :class:`repro.core.experiment.CampaignBackground`, which builds the pool
-on the first draw: all ``scenario_pool`` scenarios are drawn, but only
-those the campaign's samples read (its drawn set) get a fluid solve.
+on the first draw: the scenarios up to the last one the campaign's
+samples read are drawn, but only those read (its drawn set) get a fluid
+solve.
 A queue coordinator solves its tasks' drawn set and publishes it; its
 workers load it.  These tests count :meth:`BackgroundModel.build_scenario` calls and pool
 ``solve_fluid`` calls per process (fork children included, through
@@ -170,11 +171,12 @@ class TestPoolBuiltOnlyWhenNeeded:
         cfg = _cfg8()
         drawn = drawn_slots(top8, cfg)
         assert drawn == {1, 2}
-        full = BackgroundModel(top8).build_pool(
-            POOL, derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes),
-            reserve_nodes=cfg.n_nodes,
+        full = {}
+        BackgroundModel(top8).solve_pool(
+            derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes),
+            list(range(POOL)), full.__setitem__, reserve_nodes=cfg.n_nodes,
         )
-        assert all(s.n_jobs > 0 for s in full)
+        assert len(full) == POOL and all(s.n_jobs > 0 for s in full.values())
         solves.reset()
         before = path_cache_stats()["misses"]
         CampaignBackground(top8, cfg).build()
@@ -434,7 +436,11 @@ class TestModuleSets:
         assert "committed=2" in proc.stdout
         imported = _imported(proc)
         assert "repro.dist.worker" in imported
-        assert _loaded(imported, ("repro.service", "http.server")) == []
+        # the pool slots it loads are store entries: of the service, it
+        # loads the store's entry codec and nothing else
+        assert _loaded(imported, ("repro.service", "http.server")) == [
+            "repro.service", "repro.service.store",
+        ]
 
 
 FORK_PROBE = """

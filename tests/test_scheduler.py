@@ -205,31 +205,30 @@ class TestBackground:
     @pytest.mark.parametrize("system", ["mini_top", "theta_top"])
     def test_pool_solving_some_slots_keeps_the_stream(self, request, system):
         """Skipped slots still draw their jobs, flows and paths, so every
-        solved slot holds exactly the full pool's scenario and the pool
-        stream ends where the full pool's does."""
+        solved slot holds exactly the full pool's scenario."""
         top = request.getfixturevalue(system)
         bm = BackgroundModel(top)
         reserve = top.n_nodes // 8
-        full_rng = np.random.default_rng(21)
-        full = bm.build_pool(4, full_rng, reserve_nodes=reserve)
-        part_rng = np.random.default_rng(21)
-        part = bm.build_pool(4, part_rng, reserve_nodes=reserve, solve={1, 3})
-        assert all(sc is not None for sc in full)
-        assert [sc is not None for sc in part] == [False, True, False, True]
+        full, part = {}, {}
+        bm.solve_pool(np.random.default_rng(21), [0, 1, 2, 3], full.__setitem__,
+                      reserve_nodes=reserve)
+        bm.solve_pool(np.random.default_rng(21), [1, 3], part.__setitem__, reserve_nodes=reserve)
+        assert sorted(full) == [0, 1, 2, 3]
+        assert sorted(part) == [1, 3]
         for slot in (1, 3):
             assert part[slot].util.tobytes() == full[slot].util.tobytes()
             assert (part[slot].n_jobs, part[slot].fill) == (full[slot].n_jobs, full[slot].fill)
-        assert part_rng.bit_generator.state == full_rng.bit_generator.state
 
     @pytest.mark.parametrize("order", [[3, 0, 2], [1, 3], [0, 1, 2, 3], [2]])
     def test_pool_solved_in_any_order_holds_the_full_pools_slots(self, order):
         """``solve_pool`` hands over the slots in the order asked, each one
-        the full pool's scenario, whether solved when the draws reach it
-        or later from a copy of the stream.  On 8 groups, where every slot
-        places a job (the 4-group pool is empty)."""
+        the slot-order pool's scenario, whether solved when the draws reach
+        it or later from a copy of the stream.  On 8 groups, where every
+        slot places a job (the 4-group pool is empty)."""
         bm = BackgroundModel(mini(n_groups=8))
-        full = bm.build_pool(4, np.random.default_rng(21), reserve_nodes=32)
-        assert all(sc.n_jobs > 0 and sc.util.any() for sc in full)
+        full = {}
+        bm.solve_pool(np.random.default_rng(21), [0, 1, 2, 3], full.__setitem__, reserve_nodes=32)
+        assert all(sc.n_jobs > 0 and sc.util.any() for sc in full.values())
         got = []
         bm.solve_pool(
             np.random.default_rng(21), order, lambda slot, sc: got.append((slot, sc)),

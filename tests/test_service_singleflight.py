@@ -30,7 +30,7 @@ from repro.service import (
     run_campaign_cached,
 )
 from repro.service import client
-from repro.service.store import _entry_digest
+from repro.service.store import _digest
 from repro.telemetry import NULL_TELEMETRY
 from repro.topology.systems import mini
 
@@ -169,8 +169,8 @@ class TestCrashAtomicity:
             entry = json.loads(head)
             assert tail == b""
             assert entry["fingerprint"] == fp
-            assert entry["sha256"] == _entry_digest(
-                entry["fingerprint"], entry["rng_key"], line
+            assert entry["sha256"] == _digest(
+                {"fingerprint": entry["fingerprint"], "rng_key": entry["rng_key"]}, line
             )
         # the reader agrees: every committed entry is servable
         hits = sum(

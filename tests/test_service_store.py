@@ -7,9 +7,10 @@ Three contracts under test:
   ``(fingerprint, sample, mode)`` key comes back equal, and only under
   its own key (hypothesis);
 * **quarantine** — a damaged entry (any single corrupted byte, or raw
-  garbage) is never served and never raises: the read is a miss, the
-  file moves to ``quarantine/``, and the slot is immediately writable
-  again;
+  garbage), of a run or of a pool slot, is never served and never
+  raises: the read is a miss, the file moves to ``quarantine/``, and the
+  key is immediately writable again; a run entry written before pool
+  slots shared the format still reads as a hit;
 * **eviction** — LRU respects ``max_entries``/``max_bytes`` budgets and
   never removes a key pinned by an in-flight campaign.
 """
@@ -20,12 +21,13 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ChaosSchedule, active
-from repro.service.store import KEY_LEN, RunRecordStore, entry_key
+from repro.service.store import KEY_LEN, RunRecordStore, entry_key, slot_key
 
 MODES = st.sampled_from(["AD0", "AD1", "AD2", "AD3"])
 
@@ -58,6 +60,17 @@ FAST = settings(
 )
 
 
+#: a version-2 run entry, byte for byte as written before pool slots
+#: became store entries: ``put({"app": "milc", "seed": 7}, 0, "AD0",
+#: {"runtime": 123.5, "mode": "AD0", "status": "ok"})``
+PARENT_ENTRY = (
+    b'{"kind": "repro-run-cache", "version": 2, "key": "3b7c27d656e8e7c333cc7ce5e66cf9be",'
+    b' "fingerprint": {"app": "milc", "seed": 7}, "rng_key": {"sample": 0, "mode": "AD0"},'
+    b' "sha256": "5c2b7b678a3a69c742b4ba6a63db72712abcf5743019334c0b708f500e794271"}\n'
+    b'{"runtime": 123.5, "mode": "AD0", "status": "ok"}\n'
+)
+
+
 class TestEntryKey:
     def test_stable_and_distinct(self):
         fp = {"app": "milc", "seed": 1}
@@ -72,6 +85,11 @@ class TestEntryKey:
         a = {"app": "milc", "seed": 1}
         b = {"seed": 1, "app": "milc"}
         assert entry_key(a, 0, "AD0") == entry_key(b, 0, "AD0")
+
+
+LINK_FIELDS = st.lists(
+    st.floats(0.0, 0.95, allow_nan=False), min_size=0, max_size=64
+).map(lambda xs: np.array(xs, dtype=np.float64))
 
 
 class TestRoundTrip:
@@ -93,6 +111,20 @@ class TestRoundTrip:
         other_fp = dict(fp, seed=fp["seed"] + 1)
         assert store.get(other_fp, sample, mode) is None
         assert store.get(fp, sample + 1, mode) is None
+
+    @given(fp=FINGERPRINTS, slot=st.integers(0, 63), util=LINK_FIELDS,
+           n_jobs=st.integers(0, 40), fill=st.floats(0.0, 1.0))
+    @FAST
+    def test_slot_put_get_round_trip(self, tmp_path, fp, slot, util, n_jobs, fill):
+        store = RunRecordStore(tempfile.mkdtemp(dir=tmp_path))
+        assert store.put_slot(fp, slot, util, n_jobs, fill) is True
+        got, got_jobs, got_fill = store.get_slot(fp, slot)
+        assert got.tobytes() == util.tobytes() and (got_jobs, got_fill) == (n_jobs, fill)
+        # a slot answers only to its own (fingerprint, slot), and is no run
+        assert store.get_slot(dict(fp, seed=fp["seed"] + 1), slot) is None
+        assert store.get_slot(fp, slot + 1) is None
+        assert store.get(fp, slot, "AD0") is None
+        assert store.stats().quarantined == 0
 
     def test_duplicate_put_is_dedup_not_overwrite(self, tmp_path):
         store = RunRecordStore(tmp_path / "c")
@@ -156,6 +188,16 @@ class TestQuarantine:
         # the innocent original is untouched
         assert store.get(other, 0, "AD0") == self.REC
 
+    def test_an_entry_written_before_slots_shared_the_format_is_a_hit(self, tmp_path):
+        """Version-2 run entries keep their bytes and their digest."""
+        store = RunRecordStore(tmp_path / "c")
+        self._entry_path(store).write_bytes(PARENT_ENTRY)
+        assert store.get(self.FP, 0, "AD0") == self.REC
+        assert store.verify() == (1, [])
+        fresh = RunRecordStore(tmp_path / "d")
+        fresh.put(self.FP, 0, "AD0", self.REC)
+        assert self._entry_path(fresh).read_bytes() == PARENT_ENTRY
+
     def test_stale_tmp_scratch_is_cleared_on_init(self, tmp_path):
         store = RunRecordStore(tmp_path / "c")
         (store.tmp_dir / ".orphan.123.abc").write_bytes(b"torn")
@@ -183,6 +225,55 @@ class TestQuarantine:
         assert not writer.is_alive()
         assert outcome == [True]
         assert RunRecordStore(tmp_path / "c").get(self.FP, 0, "AD0") == self.REC
+
+
+class TestSlotQuarantine:
+    FP = {"app": "milc", "seed": 7}
+    UTIL = np.linspace(0.0, 0.95, 33)
+
+    #: damage a pool slot entry (header line, float64 body, newline)
+    DAMAGE = {
+        "flipped body byte": lambda raw: raw[:-9] + bytes([raw[-9] ^ 0x01]) + raw[-8:],
+        "edited n_jobs": lambda raw: raw.replace(b'"n_jobs": 2,', b'"n_jobs": 3,', 1),
+        "truncated body": lambda raw: raw[:-17] + b"\n",
+    }
+
+    def _put(self, store):
+        assert store.put_slot(self.FP, 3, self.UTIL, 2, 0.25) is True
+        return store._path(slot_key(self.FP, 3))
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_slot_is_a_quarantined_miss(self, tmp_path, damage):
+        store = RunRecordStore(tmp_path / "c")
+        path = self._put(store)
+        damaged = self.DAMAGE[damage](path.read_bytes())
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+        assert store.get_slot(self.FP, 3) is None
+        assert not path.exists()
+        st_ = store.stats()
+        assert (st_.misses, st_.hits, st_.quarantined, st_.quarantined_files) == (1, 0, 1, 1)
+        # verify() reports the same damage
+        self._put(store).write_bytes(damaged)
+        assert store.verify() == (0, [slot_key(self.FP, 3)])
+        assert not path.exists()
+        # the key heals
+        self._put(store)
+        util, n_jobs, fill = store.get_slot(self.FP, 3)
+        assert util.tobytes() == self.UTIL.tobytes() and (n_jobs, fill) == (2, 0.25)
+
+    def test_every_single_byte_corruption_is_quarantined(self, tmp_path):
+        store = RunRecordStore(tmp_path / "c")
+        path = self._put(store)
+        pristine = path.read_bytes()
+        for off in range(len(pristine)):
+            damaged = bytearray(pristine)
+            damaged[off] ^= 0xFF
+            path.write_bytes(bytes(damaged))
+            assert store.get_slot(self.FP, 3) is None
+            assert not path.exists(), f"byte {off}: damaged slot survived"
+            self._put(store)
+        assert store.stats().quarantined == len(pristine)
 
 
 class TestEviction:
